@@ -15,12 +15,10 @@
 //     regeneration_passes == 0.
 //
 //  3. Cold chunk replay — with the page cache dropped from the chunk
-//     files (posix_fadvise DONTNEED), how does prefetched replay
-//     (readahead on, SLRU cache) compare to fully synchronous reads?
-//     Replay checksums are asserted identical to the in-memory truth
-//     (fatal) before any timing is reported; the solver-level
-//     prefetch-vs-sync ratio is also recorded (informational on 1-core
-//     CI runners, where the overlap has no spare core to land on).
+//     files (posix_fadvise DONTNEED), how fast does a full synchronous
+//     replay pass stream the sets back? The replay checksum is asserted
+//     identical to the in-memory truth (fatal) before the rate is
+//     reported.
 //
 // Emits BENCH_bench_outofcore.json (bench_util.h).
 //
@@ -63,8 +61,7 @@ bool Identical(const RRCollection& a, const RRCollection& b) {
 }
 
 SolverResult RunTimPlus(const Graph& graph, int k, double eps, uint64_t seed,
-                        size_t budget, const std::string& spill_dir,
-                        const RRSpillTuning& tuning = {}) {
+                        size_t budget, const std::string& spill_dir) {
   std::unique_ptr<InfluenceSolver> solver;
   Status status = SolverRegistry::Global().Create("tim+", graph, &solver);
   if (!status.ok()) {
@@ -77,7 +74,6 @@ SolverResult RunTimPlus(const Graph& graph, int k, double eps, uint64_t seed,
   options.seed = seed;
   options.memory_budget_bytes = budget;
   options.spill_dir = spill_dir;
-  options.spill_tuning = tuning;
   SolverResult result;
   status = solver->Run(options, &result);
   if (!status.ok()) {
@@ -248,20 +244,16 @@ void Run(int argc, char** argv) {
   bench::RecordMetric("mmap_sample_sets_per_sec", mapped_rate);
   bench::RecordMetric("mmap_vs_resident_ratio", mapped_rate / resident_rate);
 
-  // ---- cold chunk replay: prefetch on vs off -------------------------
-  // Identical data in two stores; page cache dropped before each pass so
-  // the chunk reads hit storage. Checksums are the gate: both replays
-  // must match the in-memory sets exactly before any rate is reported.
-  RRSpillOptions sync_spill;
-  sync_spill.dir = tmp + "/replay";
-  sync_spill.sets_per_chunk = 1024;
-  sync_spill.tuning.readahead_chunks = 0;
-  RRSpillOptions pre_spill = sync_spill;
-  pre_spill.tuning.readahead_chunks = 4;
-  RRSpillStore sync_store(resident.num_nodes(), sync_spill);
-  RRSpillStore pre_store(resident.num_nodes(), pre_spill);
-  for (RRSpillStore* store : {&sync_store, &pre_store}) {
-    Status status = store->SpillRange(resident_rr, {}, 0, sets, 0);
+  // ---- cold chunk replay ---------------------------------------------
+  // Page cache dropped before the pass so the chunk reads hit storage.
+  // The checksum is the gate: the replay must match the in-memory sets
+  // exactly before its rate is reported.
+  RRSpillOptions replay_spill;
+  replay_spill.dir = tmp + "/replay";
+  replay_spill.sets_per_chunk = 1024;
+  RRSpillStore replay_store(resident.num_nodes(), replay_spill);
+  {
+    Status status = replay_store.SpillRange(resident_rr, {}, 0, sets, 0);
     if (!status.ok()) {
       std::fprintf(stderr, "spill: %s\n", status.ToString().c_str());
       std::exit(1);
@@ -274,30 +266,15 @@ void Run(int argc, char** argv) {
       truth.Mix(node);
     }
   }
-  uint64_t sync_sum = 0, pre_sum = 0;
-  const double sync_rate = TimeColdReplay(&sync_store, sets, &sync_sum);
-  const double pre_rate = TimeColdReplay(&pre_store, sets, &pre_sum);
-  if (sync_sum != truth.value || pre_sum != truth.value) {
+  uint64_t replay_sum = 0;
+  const double replay_rate = TimeColdReplay(&replay_store, sets, &replay_sum);
+  if (replay_sum != truth.value) {
     std::fprintf(stderr, "FATAL: cold replay diverged from in-memory sets\n");
     std::exit(1);
   }
-  const RRSpillStats pre_stats = pre_store.stats();
-  std::printf(
-      "cold replay %llu sets: sync %.0f sets/s   prefetch[%s, depth 4] "
-      "%.0f sets/s (%.2fx, checksums identical; %llu issued, %llu "
-      "consumed)\n",
-      static_cast<unsigned long long>(sets), sync_rate,
-      pre_store.io_backend_name().c_str(), pre_rate, pre_rate / sync_rate,
-      static_cast<unsigned long long>(pre_stats.prefetch_issued),
-      static_cast<unsigned long long>(pre_stats.prefetch_hits));
-  bench::RecordMetric("cold_replay_sync_sets_per_sec", sync_rate);
-  bench::RecordMetric("cold_replay_prefetch_sets_per_sec", pre_rate);
-  bench::RecordMetric("cold_replay_prefetch_speedup_vs_sync",
-                      pre_rate / sync_rate);
-  bench::RecordMetric("cold_replay_prefetch_issued",
-                      static_cast<double>(pre_stats.prefetch_issued));
-  bench::RecordMetric("cold_replay_prefetch_hits",
-                      static_cast<double>(pre_stats.prefetch_hits));
+  std::printf("cold replay %llu sets: %.0f sets/s (checksum identical)\n",
+              static_cast<unsigned long long>(sets), replay_rate);
+  bench::RecordMetric("cold_replay_sync_sets_per_sec", replay_rate);
 
   // ---- spill tier vs regeneration under a budget ---------------------
   const SolverResult unbudgeted =
@@ -305,14 +282,9 @@ void Run(int argc, char** argv) {
   const auto budget =
       static_cast<size_t>(unbudgeted.Metric("rr_data_bytes") / 8.0);
   const SolverResult regen = RunTimPlus(resident, k, eps, seed, budget, "");
-  RRSpillTuning no_readahead;
-  no_readahead.readahead_chunks = 0;
-  const SolverResult spilled_sync =
-      RunTimPlus(resident, k, eps, seed, budget, tmp, no_readahead);
   const SolverResult spilled =
       RunTimPlus(resident, k, eps, seed, budget, tmp);
-  if (regen.seeds != unbudgeted.seeds || spilled.seeds != unbudgeted.seeds ||
-      spilled_sync.seeds != unbudgeted.seeds) {
+  if (regen.seeds != unbudgeted.seeds || spilled.seeds != unbudgeted.seeds) {
     std::fprintf(stderr, "FATAL: budgeted seeds diverged\n");
     std::exit(1);
   }
@@ -341,31 +313,12 @@ void Run(int argc, char** argv) {
                       spilled.Metric("spill_bytes_written"));
   bench::RecordMetric("spill_speedup_vs_regen",
                       regen.seconds_total / spilled.seconds_total);
-  // Prefetch vs sync at the solver level: same seeds (asserted above),
-  // timing informational — on 1-core runners the async overlap has no
-  // spare core, so the honest expectation there is ~1.0x.
-  std::printf(
-      "tim+ spill replay: sync %.3fs   prefetch %.3fs   speedup %.2fx "
-      "(%.6g prefetches issued, %.6g consumed, %.6g sync fallbacks)\n",
-      spilled_sync.seconds_total, spilled.seconds_total,
-      spilled_sync.seconds_total / spilled.seconds_total,
-      spilled.Metric("spill_prefetch_issued"),
-      spilled.Metric("spill_prefetch_hits"),
-      spilled.Metric("spill_sync_fallback_reads"));
-  bench::RecordMetric("timplus_spill_sync_seconds",
-                      spilled_sync.seconds_total);
-  bench::RecordMetric("spill_prefetch_speedup_vs_sync",
-                      spilled_sync.seconds_total / spilled.seconds_total);
-  bench::RecordMetric("timplus_spill_prefetch_issued",
-                      spilled.Metric("spill_prefetch_issued"));
-  bench::RecordMetric("timplus_spill_prefetch_hits",
-                      spilled.Metric("spill_prefetch_hits"));
 
   std::filesystem::remove_all(tmp);
   std::printf(
       "\nidentity checks: mmap fill byte-equal to resident; cold replay "
-      "(sync and prefetch) checksums equal to in-memory sets; budgeted "
-      "(regen, sync spill, prefetch spill) seeds equal to unbudgeted\n");
+      "checksum equal to in-memory sets; budgeted (regen, spill) seeds "
+      "equal to unbudgeted\n");
 }
 
 }  // namespace

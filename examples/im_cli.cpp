@@ -97,16 +97,6 @@
 //                     Batch mode also spills LRU-evicted shared streams
 //                     there and preloads them on re-acquisition
 //   --spill           shorthand for --spill-dir=<system temp>/im_spill
-//   --spill-readahead=N
-//                     chunks read ahead of the spill replay cursor
-//                     (default 2; 0 = synchronous reads). Timing only —
-//                     seeds never depend on it
-//   --spill-hot-fraction=F
-//                     share of the pinned-chunk capacity reserved for the
-//                     SLRU hot section (default 0.5)
-//   --spill-io=auto|uring|threads
-//                     async backend for spill readahead: auto probes
-//                     io_uring and falls back to the pread thread pool
 //   --ris_tau_scale / --ris_max_sets / --ris_memory_budget
 //                     RIS cost-threshold and out-of-memory knobs
 //                     (--ris_memory_budget overrides --memory-budget for
@@ -610,17 +600,6 @@ int main(int argc, char** argv) {
     spill_dir =
         (std::filesystem::temp_directory_path() / "im_spill").string();
   }
-  timpp::RRSpillTuning spill_tuning;
-  spill_tuning.readahead_chunks = static_cast<size_t>(
-      std::max<int64_t>(0, flags.GetInt("spill-readahead", 2)));
-  spill_tuning.hot_fraction = flags.GetDouble("spill-hot-fraction", 0.5);
-  const std::string spill_io = flags.GetString("spill-io", "auto");
-  if (!timpp::ParseAsyncIoBackend(spill_io, &spill_tuning.io_backend)) {
-    std::fprintf(stderr,
-                 "unknown --spill-io backend '%s' (auto|uring|threads)\n",
-                 spill_io.c_str());
-    return 2;
-  }
 
   // ---- batch mode ---------------------------------------------------
   if (flags.Has("batch")) {
@@ -653,7 +632,6 @@ int main(int argc, char** argv) {
         static_cast<size_t>(flags.GetInt("max-pending", 0));
     serving_options.pin_threads = flags.GetBool("pin-threads", false);
     serving_options.spill_dir = spill_dir;
-    serving_options.spill_tuning = spill_tuning;
     return RunBatch(flags.GetString("batch", ""), std::move(graph), defaults,
                     serving_options, concurrency);
   }
@@ -689,7 +667,6 @@ int main(int argc, char** argv) {
       flags.Has("memory-budget") ? flags.GetInt("memory-budget", 0)
                                  : flags.GetInt("memory_budget", 0));
   options.spill_dir = spill_dir;
-  options.spill_tuning = spill_tuning;
 
   timpp::SolverResult result;
   status = solver->Run(options, &result);
@@ -738,14 +715,6 @@ int main(int argc, char** argv) {
           result.Metric("rr_sets_spilled"),
           result.Metric("spill_bytes_written"),
           result.Metric("sets_spill_read"));
-      if (result.Metric("spill_prefetch_issued") != 0.0) {
-        std::printf(
-            "note: spill readahead — %.6g prefetch reads issued, %.6g "
-            "consumed, %.6g sync fallbacks\n",
-            result.Metric("spill_prefetch_issued"),
-            result.Metric("spill_prefetch_hits"),
-            result.Metric("spill_sync_fallback_reads"));
-      }
     }
   }
   if (result.estimated_spread > 0.0) {

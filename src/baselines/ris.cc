@@ -115,7 +115,6 @@ Status RunRis(const Graph& graph, const RisOptions& options, int k,
     if (!options.spill_dir.empty()) {
       RRSpillOptions spill_options;
       spill_options.dir = options.spill_dir;
-      spill_options.tuning = options.spill_tuning;
       spill_store.emplace(graph.num_nodes(), spill_options);
     }
     RRSpillStore* spill = spill_store ? &*spill_store : nullptr;

@@ -56,9 +56,6 @@ struct RisOptions {
   /// regeneration_passes == 0 while the store stays healthy. See
   /// TimOptions::spill_dir.
   std::string spill_dir;
-  /// Spill replay tuning (readahead, SLRU split, IO backend); never
-  /// affects results. See TimOptions::spill_tuning.
-  RRSpillTuning spill_tuning;
   /// Sampling worker threads (SamplingEngine). The cost-threshold stopping
   /// rule is evaluated on the deterministic index-ordered sample stream,
   /// so results are identical for any thread count.
@@ -89,8 +86,8 @@ struct RisStats {
   uint64_t rr_sets_spilled = 0;
   uint64_t sets_spill_read = 0;
   uint64_t spill_bytes_written = 0;
-  /// Full spill-store counter snapshot (prefetch issued/hit/wasted, sync
-  /// fallbacks, SLRU hot/probation hit split). Zero without a store.
+  /// Full spill-store counter snapshot (chunk loads/hits, SLRU
+  /// hot/probation hit split). Zero without a store.
   RRSpillStats spill;
   double covered_fraction = 0.0;  // F_R(seeds)
   double seconds_total = 0.0;

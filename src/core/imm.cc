@@ -172,7 +172,6 @@ Status RunImm(const Graph& graph, const ImmOptions& options,
   if (budget != 0 && !options.spill_dir.empty()) {
     RRSpillOptions spill_options;
     spill_options.dir = options.spill_dir;
-    spill_options.tuning = options.spill_tuning;
     spill_store.emplace(graph.num_nodes(), std::move(spill_options));
   }
   RRSpillStore* spill = spill_store ? &*spill_store : nullptr;

@@ -89,9 +89,6 @@ struct ImmOptions {
   /// regeneration_passes == 0 while the store stays healthy. See
   /// TimOptions::spill_dir.
   std::string spill_dir;
-  /// Spill replay tuning (readahead, SLRU split, IO backend); never
-  /// affects results. See TimOptions::spill_tuning.
-  RRSpillTuning spill_tuning;
   uint64_t seed = 0x1e1eULL;
   /// Where sample production runs (in-process threads vs coordinated
   /// worker subprocesses, engine/sample_backend.h). Never changes the
@@ -133,8 +130,8 @@ struct ImmStats {
   uint64_t rr_sets_spilled = 0;
   uint64_t sets_spill_read = 0;
   uint64_t spill_bytes_written = 0;
-  /// Full spill-store counter snapshot (prefetch issued/hit/wasted, sync
-  /// fallbacks, SLRU hot/probation hit split). Zero without a store.
+  /// Full spill-store counter snapshot (chunk loads/hits, SLRU
+  /// hot/probation hit split). Zero without a store.
   RRSpillStats spill;
   /// The sampling phase (LB binary search) was restored from a
   /// SolveContext's PhaseCache instead of recomputed (serving layer;

@@ -190,7 +190,6 @@ Status TimSolver::Run(const TimOptions& options, const SolveContext& context,
   if (options.memory_budget_bytes != 0 && !options.spill_dir.empty()) {
     RRSpillOptions spill_options;
     spill_options.dir = options.spill_dir;
-    spill_options.tuning = options.spill_tuning;
     spill.emplace(graph_.num_nodes(), std::move(spill_options));
   }
 

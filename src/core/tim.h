@@ -79,10 +79,6 @@ struct TimOptions {
   /// regeneration_passes == 0 while the store stays healthy. Chunk files
   /// live in a unique per-run subdirectory, deleted when the run ends.
   std::string spill_dir;
-  /// Spill replay tuning (readahead depth, SLRU hot fraction, async IO
-  /// backend). Placement/timing only — replayed bytes are identical at
-  /// any setting, so seeds/θ/LB never depend on it.
-  RRSpillTuning spill_tuning;
   /// Master RNG seed; every run with equal options is bit-reproducible.
   uint64_t seed = 0x7145ULL;
   /// Where sample production runs: in-process threads (default) or
@@ -133,8 +129,8 @@ struct TimStats {
   uint64_t rr_sets_spilled = 0;
   uint64_t sets_spill_read = 0;
   uint64_t spill_bytes_written = 0;
-  /// Full spill-store counter snapshot (prefetch issued/hit/wasted, sync
-  /// fallbacks, SLRU hot/probation hit split). Zero without a store.
+  /// Full spill-store counter snapshot (chunk loads/hits, SLRU
+  /// hot/probation hit split). Zero without a store.
   RRSpillStats spill;
   /// Algorithms 2(+3) were restored from a SolveContext's PhaseCache
   /// instead of recomputed (serving layer; always false standalone).

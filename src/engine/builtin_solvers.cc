@@ -56,15 +56,10 @@ void AppendSpillMetrics(uint64_t rr_sets_spilled, uint64_t sets_spill_read,
                     static_cast<double>(sets_spill_read));
   out->emplace_back("spill_bytes_written",
                     static_cast<double>(io.bytes_written));
-  // Replay-path accounting, each counter only when it fired (readahead=0
-  // runs keep the pre-async metric set).
+  // SLRU hit split, each counter only when it fired.
   const auto add = [out](const char* name, uint64_t value) {
     if (value != 0) out->emplace_back(name, static_cast<double>(value));
   };
-  add("spill_prefetch_issued", io.prefetch_issued);
-  add("spill_prefetch_hits", io.prefetch_hits);
-  add("spill_prefetch_wasted", io.prefetch_wasted);
-  add("spill_sync_fallback_reads", io.sync_fallback_reads);
   add("spill_hot_hits", io.hot_hits);
   add("spill_probation_hits", io.probation_hits);
 }
@@ -101,7 +96,6 @@ class TimInfluenceSolver final : public InfluenceSolver {
     tim.seed = options.seed;
     tim.memory_budget_bytes = options.memory_budget_bytes;
     tim.spill_dir = options.spill_dir;
-    tim.spill_tuning = options.spill_tuning;
     tim.sample_backend = options.sample_backend;
 
     // A memory budget caps this request's resident bytes — meaningless
@@ -176,7 +170,6 @@ class ImmInfluenceSolver final : public InfluenceSolver {
     imm.seed = options.seed;
     imm.memory_budget_bytes = options.memory_budget_bytes;
     imm.spill_dir = options.spill_dir;
-    imm.spill_tuning = options.spill_tuning;
     imm.sample_backend = options.sample_backend;
 
     // Budgeted requests run standalone (see TimInfluenceSolver).
@@ -251,7 +244,6 @@ class RisInfluenceSolver final : public InfluenceSolver {
     ris.pin_threads = options.pin_threads;
     ris.seed = options.seed;
     ris.spill_dir = options.spill_dir;
-    ris.spill_tuning = options.spill_tuning;
     ris.sample_backend = options.sample_backend;
 
     // RIS's budget contract is per-request (standalone), and RIS ignores

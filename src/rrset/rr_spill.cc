@@ -20,28 +20,12 @@ namespace {
 /// spill directory.
 std::atomic<uint64_t> g_store_counter{0};
 
-/// Hard ceiling on readahead depth: bounds in-flight buffer memory at
-/// 16 × chunk bytes and stays under the async reader's queue depth.
-constexpr size_t kMaxReadahead = 16;
-
 }  // namespace
 
 RRSpillStore::RRSpillStore(NodeId num_graph_nodes, RRSpillOptions options)
     : num_graph_nodes_(num_graph_nodes), options_(std::move(options)) {}
 
 RRSpillStore::~RRSpillStore() {
-  // Prefetched buffers that were never consumed are plain waste; count
-  // them (for tests poking stats_ post-mortem) and let the reader's own
-  // destructor drain the in-flight reads before the files go away.
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& [ci, ticket] : inflight_) {
-      reader_->Cancel(ticket);
-      stats_.prefetch_wasted += 1;
-    }
-    inflight_.clear();
-  }
-  reader_.reset();
   // Chunk files are scratch: delete the whole per-store subdirectory.
   // Errors are swallowed — a leaked temp dir must not fail a solve that
   // already returned its (correct) seeds.
@@ -153,11 +137,16 @@ size_t RRSpillStore::FindChunkLocked(uint64_t index) const {
 }
 
 bool RRSpillStore::Covers(uint64_t first, uint64_t count) const {
-  return CoveredEnd(first, count) == first + count;
+  std::lock_guard<std::mutex> lock(mu_);
+  return CoveredEndLocked(first, count) == first + count;
 }
 
 uint64_t RRSpillStore::CoveredEnd(uint64_t first, uint64_t limit) const {
   std::lock_guard<std::mutex> lock(mu_);
+  return CoveredEndLocked(first, limit);
+}
+
+uint64_t RRSpillStore::CoveredEndLocked(uint64_t first, uint64_t limit) const {
   uint64_t pos = first;
   const uint64_t end = first + limit;
   size_t ci = FindChunkLocked(pos);
@@ -179,24 +168,9 @@ size_t RRSpillStore::PinnedCapacity() const {
 
 size_t RRSpillStore::HotCapacity() const {
   const size_t cap = PinnedCapacity();
-  if (cap <= 1) return 0;  // a single slot is all probation
-  const double fraction =
-      std::clamp(options_.tuning.hot_fraction, 0.0, 1.0);
-  const size_t hot =
-      static_cast<size_t>(fraction * static_cast<double>(cap) + 0.5);
-  // Probation keeps at least one slot so fresh loads always have a home
-  // that a second touch can promote from.
-  return std::min(hot, cap - 1);
-}
-
-bool RRSpillStore::IsPinnedLocked(size_t chunk_index) const {
-  for (const Pinned& p : hot_) {
-    if (p.chunk_index == chunk_index) return true;
-  }
-  for (const Pinned& p : probation_) {
-    if (p.chunk_index == chunk_index) return true;
-  }
-  return false;
+  // Half the slots, rounded up; probation keeps at least one so fresh
+  // loads always have a home that a second touch can promote from.
+  return std::min((cap + 1) / 2, cap - 1);
 }
 
 const RRSpillStore::Pinned* RRSpillStore::TouchLocked(size_t chunk_index) {
@@ -260,33 +234,6 @@ Status RRSpillStore::ReadChunkBytesSync(const Chunk& chunk,
   return Status::OK();
 }
 
-void RRSpillStore::PrefetchAheadLocked(size_t ci, uint64_t end) {
-  const size_t depth =
-      std::min(options_.tuning.readahead_chunks, kMaxReadahead);
-  if (depth == 0 || ci >= chunks_.size()) return;
-  uint64_t next_first = chunks_[ci].first + chunks_[ci].count;
-  for (size_t cj = ci + 1;
-       cj < chunks_.size() && cj <= ci + depth && inflight_.size() < depth;
-       ++cj) {
-    if (chunks_[cj].first != next_first || next_first >= end) break;
-    next_first += chunks_[cj].count;
-    if (IsPinnedLocked(cj) || inflight_.count(cj) != 0) continue;
-    if (reader_ == nullptr) {
-      AsyncIoOptions io;
-      io.backend = options_.tuning.io_backend;
-      io.queue_depth = static_cast<unsigned>(depth * 2);
-      reader_ = options_.reader_factory ? options_.reader_factory(io)
-                                        : AsyncFileReader::Create(io);
-      if (reader_ == nullptr) return;  // factory refused; stay synchronous
-    }
-    const AsyncFileReader::Ticket ticket =
-        reader_->Submit(chunks_[cj].path, 0, chunks_[cj].bytes);
-    if (ticket == AsyncFileReader::kInvalidTicket) continue;
-    stats_.prefetch_issued += 1;
-    inflight_.emplace(cj, ticket);
-  }
-}
-
 Status RRSpillStore::LoadChunkLocked(size_t chunk_index, const Pinned** out) {
   if (const Pinned* hit = TouchLocked(chunk_index)) {
     *out = hit;
@@ -295,24 +242,7 @@ Status RRSpillStore::LoadChunkLocked(size_t chunk_index, const Pinned** out) {
 
   const Chunk& chunk = chunks_[chunk_index];
   std::string bytes;
-  bool have_bytes = false;
-  const auto it = inflight_.find(chunk_index);
-  if (it != inflight_.end()) {
-    const Status waited = reader_->Wait(it->second, &bytes);
-    inflight_.erase(it);
-    if (waited.ok()) {
-      stats_.prefetch_hits += 1;
-      have_bytes = true;
-    } else {
-      // Degrade, never fail: a broken prefetch read costs one synchronous
-      // re-read and nothing else — decode below sees identical bytes.
-      stats_.prefetch_wasted += 1;
-      stats_.sync_fallback_reads += 1;
-    }
-  }
-  if (!have_bytes) {
-    TIMPP_RETURN_NOT_OK(ReadChunkBytesSync(chunk, &bytes));
-  }
+  TIMPP_RETURN_NOT_OK(ReadChunkBytesSync(chunk, &bytes));
 
   Pinned loaded{chunk_index, RRCollection(num_graph_nodes_), {}};
   TIMPP_RETURN_NOT_OK(DeserializeRRShard(bytes, num_graph_nodes_,
@@ -337,9 +267,6 @@ Status RRSpillStore::VisitRange(uint64_t first, uint64_t count,
   while (pos < end) {
     const size_t ci = FindChunkLocked(pos);
     if (ci >= chunks_.size() || chunks_[ci].first > pos) break;  // gap
-    // Issue the readahead before the demand load: the successors' reads
-    // proceed while this chunk is read (first miss) and decoded/visited.
-    PrefetchAheadLocked(ci, end);
     const Pinned* pinned = nullptr;
     status = LoadChunkLocked(ci, &pinned);
     if (!status.ok()) break;  // caller regenerates from *stopped_at
@@ -364,19 +291,10 @@ Status RRSpillStore::ReadRange(uint64_t first, uint64_t count,
                                std::vector<uint64_t>* edges) {
   std::lock_guard<std::mutex> lock(mu_);
   // Validate coverage up front: on any failure nothing is appended.
-  {
-    uint64_t pos = first;
-    const uint64_t end = first + count;
-    size_t ci = FindChunkLocked(pos);
-    while (pos < end && ci < chunks_.size() && chunks_[ci].first <= pos) {
-      pos = std::min(end, chunks_[ci].first + chunks_[ci].count);
-      ++ci;
-    }
-    if (pos != end) {
-      return Status::NotFound("rr spill: range [" + std::to_string(first) +
-                              ", " + std::to_string(first + count) +
-                              ") not fully spilled");
-    }
+  if (CoveredEndLocked(first, count) != first + count) {
+    return Status::NotFound("rr spill: range [" + std::to_string(first) +
+                            ", " + std::to_string(first + count) +
+                            ") not fully spilled");
   }
 
   // Stage into locals so a mid-range I/O failure appends nothing.
@@ -386,7 +304,6 @@ Status RRSpillStore::ReadRange(uint64_t first, uint64_t count,
   const uint64_t end = first + count;
   while (pos < end) {
     const size_t ci = FindChunkLocked(pos);
-    PrefetchAheadLocked(ci, end);
     const Pinned* pinned = nullptr;
     TIMPP_RETURN_NOT_OK(LoadChunkLocked(ci, &pinned));
     const Chunk& chunk = chunks_[ci];
@@ -415,11 +332,6 @@ RRSpillStats RRSpillStore::stats() const {
 std::string RRSpillStore::directory() const {
   std::lock_guard<std::mutex> lock(mu_);
   return dir_;
-}
-
-std::string RRSpillStore::io_backend_name() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return reader_ == nullptr ? "none" : reader_->backend_name();
 }
 
 }  // namespace timpp

@@ -17,27 +17,22 @@
 // by global index; ranges the store does not cover simply fall back to
 // engine regeneration at the caller (VisitRange reports how far it got).
 //
-// Replay is compute/IO overlapped: while a visitor drains one chunk, the
-// store issues asynchronous reads (util/async_io.h — io_uring when the
-// kernel allows, a pread thread pool otherwise) for the next
-// `tuning.readahead_chunks` chunks in traversal order. Prefetch only moves
-// *when* bytes are read, never *what* is decoded: a prefetched buffer that
-// fails its read is discarded and the chunk is re-read synchronously, so
-// every failure class degrades to the pre-async behavior with identical
-// results.
+// Replay is synchronous: a visit that reaches an unpinned chunk reads its
+// file with one sequential read under the store mutex, decodes it and
+// pins it.
 //
 // The pinned cache is a sectioned LRU (SLRU): a first touch lands a chunk
 // in the *probation* section, a re-touch promotes it to the *hot* section,
 // and eviction drains probation first — so one sequential replay pass
 // (all first touches) can only churn probation and can never flush a
-// re-touched hot chunk. `hot_fraction` splits the `max_pinned_chunks`
-// capacity between the sections.
+// re-touched hot chunk. The hot section gets half of the
+// `max_pinned_chunks` capacity, rounded up, but probation always keeps at
+// least one slot.
 //
 // Thread-safe: a single mutex serializes spills, loads and visits. The
 // store is the budget path's slow tier — correctness and bounded memory
 // (at most `max_pinned_chunks` chunks resident) matter more than reader
-// concurrency here; the async reader only ever holds raw undecoded
-// buffers, never pinned chunks.
+// concurrency here.
 //
 // Files live in a per-store unique subdirectory of `options.dir` and are
 // deleted by the destructor.
@@ -47,33 +42,16 @@
 #include <cstdint>
 #include <functional>
 #include <list>
-#include <map>
-#include <memory>
 #include <mutex>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "rrset/rr_collection.h"
-#include "util/async_io.h"
 #include "util/status.h"
 #include "util/types.h"
 
 namespace timpp {
-
-/// Replay-path tuning: prefetch depth, section split, IO backend. Plumbed
-/// from SolverOptions/ServingOptions so the CLI can steer it; the defaults
-/// are right for sequential greedy replay.
-struct RRSpillTuning {
-  /// Chunks to read ahead of the replay cursor (0 disables prefetch and
-  /// restores fully synchronous reads). Clamped to <= 16.
-  size_t readahead_chunks = 2;
-  /// Fraction of max_pinned_chunks reserved for the hot section (clamped
-  /// so probation always keeps at least one slot when capacity > 1).
-  double hot_fraction = 0.5;
-  /// Async read backend; kAuto probes io_uring and falls back to threads.
-  AsyncIoBackend io_backend = AsyncIoBackend::kAuto;
-};
 
 struct RRSpillOptions {
   /// Parent directory for this store's chunk files (created if missing).
@@ -84,12 +62,6 @@ struct RRSpillOptions {
   /// Loaded chunks kept resident (SLRU across both sections). 2 covers
   /// the common pattern of a visit range straddling one chunk boundary.
   size_t max_pinned_chunks = 2;
-  RRSpillTuning tuning;
-  /// Test seam: builds the async reader (defaults to
-  /// AsyncFileReader::Create). Fault-injection tests substitute slow or
-  /// failing readers to prove the synchronous degradation path.
-  std::function<std::unique_ptr<AsyncFileReader>(const AsyncIoOptions&)>
-      reader_factory;
 };
 
 /// Counters for spill accounting (monotone; snapshot via stats()).
@@ -102,14 +74,9 @@ struct RRSpillStats {
   uint64_t chunk_hits = 0;
   /// Sets streamed back to visitors/readers.
   uint64_t sets_read = 0;
-  /// Prefetch accounting. issued = async reads submitted; hits = demand
-  /// loads served from a completed prefetch; wasted = prefetched buffers
-  /// discarded unconsumed (store teardown) or failed; sync_fallback_reads
-  /// = demand loads that fell back to a synchronous read after a prefetch
-  /// error. hits + wasted <= issued (the rest is still in flight).
+  /// Always 0 (replay is synchronous); kept because perfbench reads them.
   uint64_t prefetch_issued = 0;
   uint64_t prefetch_hits = 0;
-  uint64_t prefetch_wasted = 0;
   uint64_t sync_fallback_reads = 0;
   /// SLRU section split of chunk_hits: hot_hits + probation_hits ==
   /// chunk_hits.
@@ -160,8 +127,7 @@ class RRSpillStore {
   /// coverage gap, or the failed chunk's start on an I/O/corruption error
   /// (in which case the error Status is returned and the caller
   /// regenerates from `*stopped_at`). `sets_visited` (optional) counts
-  /// sets actually delivered to `visit`. Reads ahead of the cursor per
-  /// `tuning.readahead_chunks`.
+  /// sets actually delivered to `visit`.
   Status VisitRange(uint64_t first, uint64_t count, const Filter& filter,
                     const Visitor& visit, uint64_t* stopped_at,
                     uint64_t* sets_visited = nullptr);
@@ -170,7 +136,7 @@ class RRSpillStore {
   /// their edge counts to `*edges`, if non-null) in index order. Fails
   /// with NotFound if the range is not fully covered; on any failure
   /// nothing is appended. Serving uses this to preload an evicted shared
-  /// prefix back into cache chunks. Reads ahead like VisitRange.
+  /// prefix back into cache chunks.
   Status ReadRange(uint64_t first, uint64_t count, RRCollection* out,
                    std::vector<uint64_t>* edges);
 
@@ -178,10 +144,6 @@ class RRSpillStore {
 
   /// The per-store chunk directory (empty until the first spill).
   std::string directory() const;
-
-  /// The async backend actually serving prefetch ("uring" | "threads"),
-  /// or "none" before the first prefetch was issued.
-  std::string io_backend_name() const;
 
  private:
   struct Chunk {
@@ -205,8 +167,6 @@ class RRSpillStore {
 
   /// Loads (or cache-hits) chunk `chunk_index`; on success `*out` points
   /// at the pinned entry (valid until the next load under this mutex).
-  /// Consumes a matching in-flight prefetch when one completed cleanly;
-  /// a failed prefetch falls back to a synchronous read.
   Status LoadChunkLocked(size_t chunk_index, const Pinned** out);
 
   /// SLRU lookup: splices a hot hit to the hot MRU position, promotes a
@@ -218,16 +178,10 @@ class RRSpillStore {
   /// evicts (probation LRU first) down to capacity.
   const Pinned* InsertPinnedLocked(Pinned&& loaded);
 
-  /// Whether either section pins `chunk_index`.
-  bool IsPinnedLocked(size_t chunk_index) const;
+  /// Largest e <= first + limit with [first, e) fully chunk-covered.
+  uint64_t CoveredEndLocked(uint64_t first, uint64_t limit) const;
 
-  /// Issues async reads for the chunks after manifest position `ci` that
-  /// the traversal towards `end` will need next (contiguous in index
-  /// space, not pinned, not already in flight), up to the readahead depth.
-  void PrefetchAheadLocked(size_t ci, uint64_t end);
-
-  /// Reads chunk bytes synchronously (the pre-async path, and the
-  /// degradation for every prefetch failure).
+  /// Reads a chunk file's bytes.
   Status ReadChunkBytesSync(const Chunk& chunk, std::string* bytes) const;
 
   /// Total pinned capacity and the hot section's share of it.
@@ -242,9 +196,6 @@ class RRSpillStore {
   std::vector<Chunk> chunks_;   // sorted by first, non-overlapping
   std::list<Pinned> hot_;        // front = most recently used
   std::list<Pinned> probation_;  // front = most recently used
-  /// Outstanding prefetch tickets by manifest chunk position.
-  std::map<size_t, AsyncFileReader::Ticket> inflight_;
-  std::unique_ptr<AsyncFileReader> reader_;  // created on first prefetch
   RRSpillStats stats_;
 };
 

@@ -26,7 +26,6 @@ SolverOptions ToSolverOptions(const ImRequest& request,
   options.seed = request.seed;
   options.memory_budget_bytes = request.memory_budget_bytes;
   options.spill_dir = serving.spill_dir;
-  options.spill_tuning = serving.spill_tuning;
   options.mc_samples = request.mc_samples;
   options.mc_batch = request.mc_batch;
   options.ris_tau_scale = request.ris_tau_scale;
@@ -67,7 +66,6 @@ Status ServingEngine::RegisterGraph(const std::string& name, Graph graph) {
       options_.pin_threads);
   context->set_cache_budget_bytes(options_.shared_cache_budget_bytes);
   context->set_spill_dir(options_.spill_dir);
-  context->set_spill_tuning(options_.spill_tuning);
   contexts_.emplace(name, std::move(context));
   return Status::OK();
 }

@@ -66,9 +66,6 @@ struct ServingOptions {
   /// regenerating per greedy round (SolverOptions::spill_dir). Responses
   /// stay bit-identical either way.
   std::string spill_dir;
-  /// Spill replay tuning shared by both spill consumers (stream preload
-  /// and standalone budgeted requests); see SolverOptions::spill_tuning.
-  RRSpillTuning spill_tuning;
   /// Concurrent request workers behind Submit() (0 = hardware
   /// concurrency). Created lazily on the first Submit; the synchronous
   /// Solve/SolveBatch paths never start them.

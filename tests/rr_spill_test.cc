@@ -5,10 +5,8 @@
 //   - the sectioned (hot/probation) LRU: scan resistance (a streaming
 //     pass over 3x capacity cannot evict a re-touched hot chunk) and
 //     probation-before-hot eviction order;
-//   - prefetched replay: readahead produces bit-identical output with the
-//     prefetch counters moving, and injected failing/slow readers (via
-//     RRSpillOptions::reader_factory) degrade to synchronous reads with
-//     the same bytes;
+//   - a damaged chunk file: VisitRange/ReadRange fail named at the chunk
+//     boundary, and streaming cover regenerates past it to the same seeds;
 //   - the solver sweep: TIM/TIM+/IMM/RIS at budgets {tiny, mid, ∞} ×
 //     backends {local, procs:2} must produce bit-identical seeds and
 //     stats to the unbudgeted local run, with regeneration_passes == 0
@@ -19,14 +17,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <filesystem>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "coverage/streaming_cover.h"
 #include "engine/sampling_engine.h"
 #include "engine/solver_registry.h"
 #include "rrset/rr_collection.h"
@@ -91,7 +87,7 @@ void ExpectEqualSets(const RRCollection& a, const RRCollection& b,
 
 /// Full VisitRange pass asserting every delivered set is bit-identical to
 /// the in-memory original (the spill tier's core contract under every
-/// cache/prefetch configuration).
+/// cache configuration).
 void ExpectReplayMatches(RRSpillStore* store, const RRCollection& rr,
                          uint64_t count) {
   uint64_t stopped = 0, visited = 0;
@@ -108,48 +104,6 @@ void ExpectReplayMatches(RRSpillStore* store, const RRCollection& rr,
   EXPECT_EQ(stopped, count);
   EXPECT_EQ(visited, count);
 }
-
-/// Injectable prefetch reader whose every read fails at Wait(): the store
-/// must fall back to synchronous reads and still replay bit-identically.
-class FailingReader : public AsyncFileReader {
- public:
-  Ticket Submit(const std::string&, uint64_t, uint64_t) override {
-    return ++next_;
-  }
-  Status Wait(Ticket, std::string*) override {
-    return Status::IOError("injected prefetch failure");
-  }
-  void Cancel(Ticket) override {}
-  const char* backend_name() const override { return "failing"; }
-
- private:
-  std::atomic<Ticket> next_{0};
-};
-
-/// Injectable prefetch reader that serves correct bytes, but only after a
-/// delay — a stand-in for slow media proving the replay result never
-/// depends on I/O timing.
-class SlowReader : public AsyncFileReader {
- public:
-  SlowReader() {
-    AsyncIoOptions options;
-    options.backend = AsyncIoBackend::kThreads;
-    inner_ = AsyncFileReader::Create(options);
-  }
-  Ticket Submit(const std::string& path, uint64_t offset,
-                uint64_t size) override {
-    return inner_->Submit(path, offset, size);
-  }
-  Status Wait(Ticket ticket, std::string* out) override {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    return inner_->Wait(ticket, out);
-  }
-  void Cancel(Ticket ticket) override { inner_->Cancel(ticket); }
-  const char* backend_name() const override { return "slow"; }
-
- private:
-  std::unique_ptr<AsyncFileReader> inner_;
-};
 
 // ---- RRSpillStore unit behaviour --------------------------------------
 
@@ -302,7 +256,6 @@ TEST(RRSpillStoreTest, SlruScanResistanceKeepsHotChunksResident) {
   TempSpillDir dir;
   RRSpillOptions options = SpillOpts(dir, 8);  // 12 chunks
   options.max_pinned_chunks = 4;               // hot cap 2, probation 2+
-  options.tuning.readahead_chunks = 0;  // pure cache behaviour, no prefetch
   RRSpillStore store(g.num_nodes(), options);
   ASSERT_TRUE(store.SpillRange(rr, edges, 0, 96, 0).ok());
 
@@ -339,7 +292,6 @@ TEST(RRSpillStoreTest, SlruEvictsProbationBeforeHot) {
   TempSpillDir dir;
   RRSpillOptions options = SpillOpts(dir, 8);  // 3 chunks
   options.max_pinned_chunks = 2;               // hot cap 1, probation 1
-  options.tuning.readahead_chunks = 0;
   RRSpillStore store(g.num_nodes(), options);
   ASSERT_TRUE(store.SpillRange(rr, edges, 0, 24, 0).ok());
 
@@ -360,110 +312,6 @@ TEST(RRSpillStoreTest, SlruEvictsProbationBeforeHot) {
             store.stats().chunk_hits);
 }
 
-// ---- prefetch: overlap, equivalence, degradation ----------------------
-
-TEST(RRSpillStoreTest, PrefetchedReplayIsBitIdenticalAndCounted) {
-  const Graph g = MakeWcPowerLaw(80, 3, 47);
-  RRCollection rr(g.num_nodes());
-  std::vector<uint64_t> edges;
-  Sample(g, 5, 64, &rr, &edges);
-
-  TempSpillDir dir_sync, dir_pre;
-  RRSpillOptions sync_options = SpillOpts(dir_sync, 8);  // 8 chunks
-  sync_options.tuning.readahead_chunks = 0;
-  RRSpillStore sync_store(g.num_nodes(), sync_options);
-  ASSERT_TRUE(sync_store.SpillRange(rr, edges, 0, 64, 0).ok());
-
-  RRSpillOptions pre_options = SpillOpts(dir_pre, 8);
-  pre_options.tuning.readahead_chunks = 3;
-  RRSpillStore pre_store(g.num_nodes(), pre_options);
-  ASSERT_TRUE(pre_store.SpillRange(rr, edges, 0, 64, 0).ok());
-
-  // Both replay paths reproduce the sampled sets exactly.
-  ExpectReplayMatches(&sync_store, rr, 64);
-  ExpectReplayMatches(&pre_store, rr, 64);
-
-  // The sync store never touched the async layer.
-  EXPECT_EQ(sync_store.stats().prefetch_issued, 0u);
-  EXPECT_EQ(sync_store.io_backend_name(), "none");
-
-  // The prefetching store overlapped reads with decoding and consumed
-  // them: issued > 0, demand loads were served from completed prefetches,
-  // and nothing fell back to the synchronous path.
-  const RRSpillStats pre = pre_store.stats();
-  EXPECT_GT(pre.prefetch_issued, 0u);
-  EXPECT_GT(pre.prefetch_hits, 0u);
-  EXPECT_EQ(pre.sync_fallback_reads, 0u);
-  EXPECT_LE(pre.prefetch_hits + pre.prefetch_wasted, pre.prefetch_issued);
-  const std::string backend = pre_store.io_backend_name();
-  EXPECT_TRUE(backend == "uring" || backend == "threads") << backend;
-
-  // ReadRange rides the same prefetcher and matches too.
-  RRCollection loaded(g.num_nodes());
-  std::vector<uint64_t> loaded_edges;
-  ASSERT_TRUE(pre_store.ReadRange(0, 64, &loaded, &loaded_edges).ok());
-  EXPECT_EQ(loaded_edges, edges);
-  ExpectEqualSets(rr, loaded, 0, 0, 64);
-}
-
-TEST(RRSpillStoreTest, FailingPrefetchDegradesToSyncBitIdentically) {
-  const Graph g = MakeWcPowerLaw(80, 3, 53);
-  RRCollection rr(g.num_nodes());
-  std::vector<uint64_t> edges;
-  Sample(g, 5, 64, &rr, &edges);
-
-  TempSpillDir dir;
-  RRSpillOptions options = SpillOpts(dir, 8);
-  options.tuning.readahead_chunks = 2;
-  options.reader_factory = [](const AsyncIoOptions&) {
-    return std::make_unique<FailingReader>();
-  };
-  RRSpillStore store(g.num_nodes(), options);
-  ASSERT_TRUE(store.SpillRange(rr, edges, 0, 64, 0).ok());
-
-  // Every prefetch fails; every chunk is silently re-read synchronously
-  // and the replay output is still bit-identical to the originals.
-  ExpectReplayMatches(&store, rr, 64);
-  const RRSpillStats stats = store.stats();
-  EXPECT_GT(stats.prefetch_issued, 0u);
-  EXPECT_EQ(stats.prefetch_hits, 0u);
-  EXPECT_GT(stats.sync_fallback_reads, 0u);
-  EXPECT_GE(stats.prefetch_wasted, stats.sync_fallback_reads)
-      << "every failed prefetch is accounted as wasted";
-  EXPECT_EQ(store.io_backend_name(), "failing");
-
-  // ReadRange degrades identically.
-  RRCollection loaded(g.num_nodes());
-  std::vector<uint64_t> loaded_edges;
-  ASSERT_TRUE(store.ReadRange(0, 64, &loaded, &loaded_edges).ok());
-  EXPECT_EQ(loaded_edges, edges);
-  ExpectEqualSets(rr, loaded, 0, 0, 64);
-}
-
-TEST(RRSpillStoreTest, SlowPrefetchReaderStaysBitIdentical) {
-  const Graph g = MakeWcPowerLaw(80, 3, 59);
-  RRCollection rr(g.num_nodes());
-  std::vector<uint64_t> edges;
-  Sample(g, 5, 48, &rr, &edges);
-
-  TempSpillDir dir;
-  RRSpillOptions options = SpillOpts(dir, 8);  // 6 chunks
-  options.tuning.readahead_chunks = 2;
-  options.reader_factory = [](const AsyncIoOptions&) {
-    return std::make_unique<SlowReader>();
-  };
-  RRSpillStore store(g.num_nodes(), options);
-  ASSERT_TRUE(store.SpillRange(rr, edges, 0, 48, 0).ok());
-
-  // Slow completions must never be consumed early or partially: Wait
-  // blocks until the bytes are whole, so the replay matches exactly.
-  ExpectReplayMatches(&store, rr, 48);
-  const RRSpillStats stats = store.stats();
-  EXPECT_GT(stats.prefetch_issued, 0u);
-  EXPECT_GT(stats.prefetch_hits, 0u);
-  EXPECT_EQ(stats.sync_fallback_reads, 0u);
-}
-
 TEST(RRSpillStoreTest, EmptyEdgeSpanRecordsZeros) {
   const Graph g = MakeWcPowerLaw(60, 3, 29);
   RRCollection rr(g.num_nodes());
@@ -479,6 +327,85 @@ TEST(RRSpillStoreTest, EmptyEdgeSpanRecordsZeros) {
   ASSERT_TRUE(store.ReadRange(0, 10, &out, &out_edges).ok());
   ExpectEqualSets(rr, out, 0, 0, 10);
   EXPECT_EQ(out_edges, std::vector<uint64_t>(10, 0));
+}
+
+// ---- a damaged chunk file ---------------------------------------------
+
+/// Truncates the chunk file of `store` whose first index is `chunk_first`
+/// to half its size, so the next load of that chunk is a short read.
+void TruncateChunk(const RRSpillStore& store, uint64_t chunk_first) {
+  const std::string prefix = "chunk-" + std::to_string(chunk_first) + "-";
+  for (const auto& entry :
+       std::filesystem::directory_iterator(store.directory())) {
+    if (entry.path().filename().string().rfind(prefix, 0) != 0) continue;
+    std::filesystem::resize_file(entry.path(), entry.file_size() / 2);
+    return;
+  }
+  FAIL() << "no chunk file starting at index " << chunk_first;
+}
+
+TEST(RRSpillStoreTest, TruncatedChunkFailsNamedAndCoverRegenerates) {
+  const Graph g = MakeWcPowerLaw(120, 3, 61);
+  constexpr uint64_t kSeed = 5;
+  RRCollection rr(g.num_nodes());
+  std::vector<uint64_t> edges;
+  Sample(g, kSeed, 64, &rr, &edges);
+
+  // Two stores with the same four 16-set chunks; chunk [32, 48) of the
+  // second is cut short on disk.
+  TempSpillDir healthy_dir, damaged_dir;
+  RRSpillStore healthy(g.num_nodes(), SpillOpts(healthy_dir, 16));
+  RRSpillStore damaged(g.num_nodes(), SpillOpts(damaged_dir, 16));
+  ASSERT_TRUE(healthy.SpillRange(rr, edges, 0, 64, 0).ok());
+  ASSERT_TRUE(damaged.SpillRange(rr, edges, 0, 64, 0).ok());
+  TruncateChunk(damaged, 32);
+
+  // VisitRange delivers exactly the sets before the damaged chunk, then
+  // stops at its first index with a named error.
+  std::vector<uint64_t> delivered;
+  uint64_t stopped = 0, visited = 0;
+  const Status visit_status = damaged.VisitRange(
+      0, 64, nullptr,
+      [&](uint64_t index, std::span<const NodeId> set) {
+        const auto expect = rr.Set(static_cast<RRSetId>(index));
+        ASSERT_EQ(expect.size(), set.size()) << "set " << index;
+        EXPECT_TRUE(std::equal(expect.begin(), expect.end(), set.begin()))
+            << "set " << index;
+        delivered.push_back(index);
+      },
+      &stopped, &visited);
+  EXPECT_TRUE(visit_status.IsIOError()) << visit_status.ToString();
+  EXPECT_NE(visit_status.message().find("chunk-32-"), std::string::npos)
+      << visit_status.ToString();
+  EXPECT_EQ(stopped, 32u);
+  EXPECT_EQ(visited, 32u);
+  std::vector<uint64_t> expect_delivered(32);
+  for (uint64_t i = 0; i < 32; ++i) expect_delivered[i] = i;
+  EXPECT_EQ(delivered, expect_delivered);
+
+  // ReadRange over the damaged range (its first chunk loads fine) fails
+  // and appends nothing.
+  RRCollection out(g.num_nodes());
+  std::vector<uint64_t> out_edges;
+  const Status read_status = damaged.ReadRange(16, 32, &out, &out_edges);
+  EXPECT_TRUE(read_status.IsIOError()) << read_status.ToString();
+  EXPECT_EQ(out.num_sets(), 0u) << "failed read must not half-append";
+  EXPECT_TRUE(out_edges.empty());
+
+  // Streaming cover regenerates past the damaged chunk and picks the
+  // same seeds as replay from the healthy store.
+  const RRCollection no_cache(g.num_nodes());
+  SamplingEngine healthy_engine(g, testing::IcSampling(kSeed));
+  const StreamingCoverResult from_healthy =
+      StreamingGreedyMaxCover(healthy_engine, no_cache, 0, 64, 4, &healthy);
+  SamplingEngine damaged_engine(g, testing::IcSampling(kSeed));
+  const StreamingCoverResult from_damaged =
+      StreamingGreedyMaxCover(damaged_engine, no_cache, 0, 64, 4, &damaged);
+  EXPECT_EQ(from_healthy.regeneration_passes, 0u);
+  EXPECT_GT(from_damaged.regeneration_passes, 0u);
+  EXPECT_EQ(from_damaged.cover.seeds, from_healthy.cover.seeds);
+  EXPECT_EQ(from_damaged.cover.marginal_coverage,
+            from_healthy.cover.marginal_coverage);
 }
 
 // ---- solver sweep: budgets × backends, spill on -----------------------
