@@ -97,10 +97,9 @@
 //                     Batch mode also spills LRU-evicted shared streams
 //                     there and preloads them on re-acquisition
 //   --spill           shorthand for --spill-dir=<system temp>/im_spill
-//   --ris_tau_scale / --ris_max_sets / --ris_memory_budget
-//                     RIS cost-threshold and out-of-memory knobs
-//                     (--ris_memory_budget overrides --memory-budget for
-//                     ris)
+//   --ris_tau_scale / --ris_max_sets
+//                     RIS cost-threshold and out-of-memory knobs (RIS
+//                     honors --memory-budget like tim/imm)
 //   --undirected      treat each input line as an undirected edge
 //   --batch=req.tsv   serve many requests against the loaded graph through
 //                     the ServingEngine (cross-request RR-collection and
@@ -109,8 +108,11 @@
 //                       algo  k  epsilon  [key=value ...]
 //                     where key ∈ {seed, model, ell, hops, sampler,
 //                     budget, mc, mc_batch, tau_scale, max_sets}; '#'
-//                     starts a comment. Unset keys inherit the CLI flags. Prints a
-//                     per-request line plus a reuse summary.
+//                     starts a comment. Unset keys inherit the CLI flags.
+//                     Prints a per-request line plus a reuse summary.
+//
+// Any other --flag is an error (exit 2), so a misspelt or retired option
+// never runs silently with its default.
 #include <unistd.h>
 
 #include <algorithm>
@@ -126,6 +128,7 @@
 #include "distributed/fault_injection.h"
 #include "distributed/graph_spec.h"
 #include "distributed/worker.h"
+#include "engine/execution_options.h"
 #include "engine/solver_registry.h"
 #include "graph/graph_io.h"
 #include "graph/weight_models.h"
@@ -417,6 +420,20 @@ int RunBatch(const std::string& path, timpp::Graph graph,
 
 int main(int argc, char** argv) {
   timpp::Flags flags(argc, argv);
+  const std::vector<std::string> unknown = flags.Unknown(
+      {"algo", "backend", "batch", "cache-budget", "celf_r", "concurrency",
+       "ell", "eps", "fault-inject", "graph-image", "k", "list_algos",
+       "max-pending", "max-shard-retries", "max_hops", "mc", "mc-batch",
+       "memory-budget", "memory_budget", "model", "pin-threads",
+       "ris_max_sets", "ris_tau_scale", "sampler", "seed",
+       "shard-timeout-ms", "spill", "spill-dir", "threads", "undirected",
+       "weights", "worker"});
+  if (!unknown.empty()) {
+    for (const std::string& name : unknown) {
+      std::fprintf(stderr, "error: unknown flag --%s\n", name.c_str());
+    }
+    return 2;
+  }
   if (flags.GetBool("worker", false)) {
     // Distributed-sampling worker mode: serve the coordinator protocol on
     // stdin/stdout (see distributed/worker.h). ProcessShardBackend spawns
@@ -516,8 +533,6 @@ int main(int argc, char** argv) {
                  sampler.c_str());
     return 2;
   }
-  const unsigned num_threads =
-      static_cast<unsigned>(flags.GetInt("threads", 1));
 
   const std::string mc_batch_name = flags.GetString("mc-batch", "scalar");
   timpp::McBatchMode mc_batch;
@@ -528,8 +543,21 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // ---- sample backend -----------------------------------------------
-  timpp::SampleBackendSpec backend_spec;
+  // ---- execution settings (shared by the solve and batch paths) -----
+  timpp::ExecutionOptions execution;
+  execution.num_threads = static_cast<unsigned>(flags.GetInt("threads", 1));
+  execution.pin_threads = flags.GetBool("pin-threads", false);
+  // --memory_budget is accepted as a spelling variant.
+  const size_t memory_budget = static_cast<size_t>(
+      flags.Has("memory-budget") ? flags.GetInt("memory-budget", 0)
+                                 : flags.GetInt("memory_budget", 0));
+  execution.spill_dir = flags.GetString("spill-dir", "");
+  if (execution.spill_dir.empty() && flags.GetBool("spill", false)) {
+    execution.spill_dir =
+        (std::filesystem::temp_directory_path() / "im_spill").string();
+  }
+
+  timpp::SampleBackendSpec& backend_spec = execution.sample_backend;
   const std::string backend_name = flags.GetString("backend", "local");
   std::string backend_error;
   if (!ParseBackendSpec(backend_name, &backend_spec, &backend_error)) {
@@ -594,13 +622,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  // ---- spill tier ---------------------------------------------------
-  std::string spill_dir = flags.GetString("spill-dir", "");
-  if (spill_dir.empty() && flags.GetBool("spill", false)) {
-    spill_dir =
-        (std::filesystem::temp_directory_path() / "im_spill").string();
-  }
-
   // ---- batch mode ---------------------------------------------------
   if (flags.Has("batch")) {
     timpp::ImRequest defaults;
@@ -610,16 +631,13 @@ int main(int argc, char** argv) {
     defaults.seed = seed;
     defaults.ell = flags.GetDouble("ell", 1.0);
     defaults.max_hops = static_cast<uint32_t>(flags.GetInt("max_hops", 0));
-    defaults.memory_budget_bytes = static_cast<size_t>(
-        flags.Has("memory-budget") ? flags.GetInt("memory-budget", 0)
-                                   : flags.GetInt("memory_budget", 0));
+    defaults.memory_budget_bytes = memory_budget;
     defaults.mc_samples = mc;
     defaults.mc_batch = mc_batch;
     defaults.ris_tau_scale = flags.GetDouble("ris_tau_scale", 0.1);
     defaults.ris_max_sets = flags.GetInt("ris_max_sets", 10000000);
     timpp::ServingOptions serving_options;
-    serving_options.num_threads = num_threads;
-    serving_options.sample_backend = backend_spec;
+    static_cast<timpp::ExecutionOptions&>(serving_options) = execution;
     serving_options.shared_cache_budget_bytes =
         static_cast<size_t>(flags.GetInt("cache-budget", 0));
     const unsigned concurrency = static_cast<unsigned>(
@@ -630,8 +648,6 @@ int main(int argc, char** argv) {
     // asks for a bound.
     serving_options.max_pending_requests =
         static_cast<size_t>(flags.GetInt("max-pending", 0));
-    serving_options.pin_threads = flags.GetBool("pin-threads", false);
-    serving_options.spill_dir = spill_dir;
     return RunBatch(flags.GetString("batch", ""), std::move(graph), defaults,
                     serving_options, concurrency);
   }
@@ -646,27 +662,19 @@ int main(int argc, char** argv) {
   }
 
   timpp::SolverOptions options;
+  static_cast<timpp::ExecutionOptions&>(options) = execution;
   options.k = static_cast<int>(flags.GetInt("k", 50));
   options.sampler_mode = sampler_mode;
-  options.sample_backend = backend_spec;
   options.epsilon = flags.GetDouble("eps", 0.1);
   options.ell = flags.GetDouble("ell", 1.0);
   options.model = model;
   options.max_hops = static_cast<uint32_t>(flags.GetInt("max_hops", 0));
-  options.num_threads = num_threads;
-  options.pin_threads = flags.GetBool("pin-threads", false);
   options.seed = seed;
   options.mc_samples = mc;
   options.mc_batch = mc_batch;
   options.ris_tau_scale = flags.GetDouble("ris_tau_scale", 0.1);
   options.ris_max_sets = flags.GetInt("ris_max_sets", 10000000);
-  options.ris_memory_budget_bytes =
-      static_cast<size_t>(flags.GetInt("ris_memory_budget", 0));
-  // --memory_budget is accepted as a spelling variant.
-  options.memory_budget_bytes = static_cast<size_t>(
-      flags.Has("memory-budget") ? flags.GetInt("memory-budget", 0)
-                                 : flags.GetInt("memory_budget", 0));
-  options.spill_dir = spill_dir;
+  options.memory_budget_bytes = memory_budget;
 
   timpp::SolverResult result;
   status = solver->Run(options, &result);

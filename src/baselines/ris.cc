@@ -1,6 +1,7 @@
 #include "baselines/ris.h"
 
 #include <cmath>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -111,13 +112,9 @@ Status RunRis(const Graph& graph, const RisOptions& options, int k,
     // spill store, every set the cache drops goes to disk on the way past
     // and selection replays it instead of regenerating.
     local_stats.hit_memory_budget = true;
-    std::optional<RRSpillStore> spill_store;
-    if (!options.spill_dir.empty()) {
-      RRSpillOptions spill_options;
-      spill_options.dir = options.spill_dir;
-      spill_store.emplace(graph.num_nodes(), spill_options);
-    }
-    RRSpillStore* spill = spill_store ? &*spill_store : nullptr;
+    const std::unique_ptr<RRSpillStore> spill_store = MakeSpillStore(
+        options, options.memory_budget_bytes, graph.num_nodes());
+    RRSpillStore* spill = spill_store.get();
 
     const uint64_t fetched = rr.num_sets();
     const size_t keep =

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "diffusion/triggering.h"
+#include "engine/execution_options.h"
 #include "engine/sample_backend.h"
 #include "engine/solve_context.h"
 #include "graph/graph.h"
@@ -22,8 +23,10 @@
 
 namespace timpp {
 
-/// Configuration of a RIS run.
-struct RisOptions {
+/// Configuration of a RIS run. The cost-threshold stopping rule is
+/// evaluated on the deterministic index-ordered sample stream, so results
+/// are identical under any of the inherited execution settings.
+struct RisOptions : ExecutionOptions {
   double epsilon = 0.1;
   double ell = 1.0;
   DiffusionModel model = DiffusionModel::kIC;
@@ -49,24 +52,7 @@ struct RisOptions {
   /// coverage/streaming_cover.h). Seeds are bit-identical to an
   /// unbudgeted run at the price of extra sampling passes.
   size_t memory_budget_bytes = 0;
-  /// Parent directory for disk-spilled RR prefixes (empty = no spill).
-  /// Only consulted when the budget trips: the non-resident part of the θ
-  /// sets is written to disk once during the cost loop and replayed each
-  /// greedy round instead of regenerated — same seeds, with
-  /// regeneration_passes == 0 while the store stays healthy. See
-  /// TimOptions::spill_dir.
-  std::string spill_dir;
-  /// Sampling worker threads (SamplingEngine). The cost-threshold stopping
-  /// rule is evaluated on the deterministic index-ordered sample stream,
-  /// so results are identical for any thread count.
-  unsigned num_threads = 1;
-  /// Pin sampling worker threads to CPUs (placement only; results are
-  /// invariant to it).
-  bool pin_threads = false;
   uint64_t seed = 0xb0265ULL;
-  /// Where sample production runs (engine/sample_backend.h); results are
-  /// backend-invariant.
-  SampleBackendSpec sample_backend;
 };
 
 /// Instrumentation of a RIS run.
@@ -86,8 +72,8 @@ struct RisStats {
   uint64_t rr_sets_spilled = 0;
   uint64_t sets_spill_read = 0;
   uint64_t spill_bytes_written = 0;
-  /// Full spill-store counter snapshot (chunk loads/hits, SLRU
-  /// hot/probation hit split). Zero without a store.
+  /// Full spill-store counter snapshot (chunks written and loaded, sets
+  /// read). Zero without a store.
   RRSpillStats spill;
   double covered_fraction = 0.0;  // F_R(seeds)
   double seconds_total = 0.0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <optional>
 
 #include "core/parameters.h"
@@ -166,15 +167,10 @@ Status RunImm(const Graph& graph, const ImmOptions& options,
   const uint64_t stream_start = source->position();
 
   // One spill store serves both phases (chunks append in increasing index
-  // order; the gap between the phases' ranges is fine). Only built when a
-  // budget can trip; its chunk directory dies with the run.
-  std::optional<RRSpillStore> spill_store;
-  if (budget != 0 && !options.spill_dir.empty()) {
-    RRSpillOptions spill_options;
-    spill_options.dir = options.spill_dir;
-    spill_store.emplace(graph.num_nodes(), std::move(spill_options));
-  }
-  RRSpillStore* spill = spill_store ? &*spill_store : nullptr;
+  // order; the gap between the phases' ranges is fine).
+  const std::unique_ptr<RRSpillStore> spill_store =
+      MakeSpillStore(options, budget, graph.num_nodes());
+  RRSpillStore* spill = spill_store.get();
   uint64_t sets_spilled = 0;
 
   // The LB memo only covers the canonical configuration: a stream consumed

@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "diffusion/triggering.h"
+#include "engine/execution_options.h"
 #include "engine/sample_backend.h"
 #include "engine/solve_context.h"
 #include "graph/graph.h"
@@ -44,8 +45,11 @@
 
 namespace timpp {
 
-/// Configuration of an IMM run.
-struct ImmOptions {
+/// Configuration of an IMM run. Both phases sample one stream built from
+/// the inherited execution settings (see the determinism note above); with
+/// a spill_dir, the non-resident ranges of both phases go to one
+/// append-only spill store.
+struct ImmOptions : ExecutionOptions {
   int k = 50;
   double epsilon = 0.1;
   double ell = 1.0;
@@ -68,12 +72,6 @@ struct ImmOptions {
   /// analysis carries verbatim because coverage indicators scaled by W
   /// stay in [0, W].
   const std::vector<double>* node_weights = nullptr;
-  /// Sampling worker threads for both phases (see the determinism note in
-  /// the header comment: results do not depend on this value).
-  unsigned num_threads = 1;
-  /// Pin sampling worker threads to CPUs (placement only; results are
-  /// invariant to it).
-  bool pin_threads = false;
   /// Soft cap (bytes; 0 = unlimited) on resident RR-collection DataBytes
   /// in BOTH phases (the progressive x_i batches grow toward θ-scale, so
   /// the sampling phase needs the cap as much as selection). Past the
@@ -82,18 +80,7 @@ struct ImmOptions {
   /// coverage/streaming_cover.h); seeds and LB stay bit-identical to a
   /// budget-off run.
   size_t memory_budget_bytes = 0;
-  /// Parent directory for disk-spilled RR prefixes (empty = no spill).
-  /// Only consulted when the budget trips: non-resident index ranges of
-  /// BOTH phases go to one append-only store (written once, replayed each
-  /// greedy round) instead of being regenerated — identical seeds/LB/θ,
-  /// regeneration_passes == 0 while the store stays healthy. See
-  /// TimOptions::spill_dir.
-  std::string spill_dir;
   uint64_t seed = 0x1e1eULL;
-  /// Where sample production runs (in-process threads vs coordinated
-  /// worker subprocesses, engine/sample_backend.h). Never changes the
-  /// result — only throughput and failure modes.
-  SampleBackendSpec sample_backend;
 };
 
 /// Instrumentation of an IMM run.
@@ -130,8 +117,8 @@ struct ImmStats {
   uint64_t rr_sets_spilled = 0;
   uint64_t sets_spill_read = 0;
   uint64_t spill_bytes_written = 0;
-  /// Full spill-store counter snapshot (chunk loads/hits, SLRU
-  /// hot/probation hit split). Zero without a store.
+  /// Full spill-store counter snapshot (chunks written and loaded, sets
+  /// read). Zero without a store.
   RRSpillStats spill;
   /// The sampling phase (LB binary search) was restored from a
   /// SolveContext's PhaseCache instead of recomputed (serving layer;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <optional>
 #include <string>
 
@@ -10,7 +11,6 @@
 #include "core/node_selector.h"
 #include "core/parameters.h"
 #include "engine/phase_cache.h"
-#include "rrset/rr_spill.h"
 #include "engine/sample_source.h"
 #include "engine/sampling_engine.h"
 #include "util/timer.h"
@@ -184,19 +184,13 @@ Status TimSolver::Run(const TimOptions& options, const SolveContext& context,
   stats.theta =
       static_cast<uint64_t>(std::max(1.0, std::ceil(stats.lambda / kpt_bound)));
 
-  // Spill tier: only built when a budget can actually trip. The store's
-  // chunk directory is scratch, deleted with the store when the run ends.
-  std::optional<RRSpillStore> spill;
-  if (options.memory_budget_bytes != 0 && !options.spill_dir.empty()) {
-    RRSpillOptions spill_options;
-    spill_options.dir = options.spill_dir;
-    spill.emplace(graph_.num_nodes(), std::move(spill_options));
-  }
+  const std::unique_ptr<RRSpillStore> spill =
+      MakeSpillStore(options, options.memory_budget_bytes, graph_.num_nodes());
 
   Timer phase_timer;
-  NodeSelection selection =
-      SelectNodes(*source, options.k, stats.theta,
-                  options.memory_budget_bytes, spill ? &*spill : nullptr);
+  NodeSelection selection = SelectNodes(*source, options.k, stats.theta,
+                                        options.memory_budget_bytes,
+                                        spill.get());
   TIMPP_RETURN_NOT_OK(source->engine().status());
   stats.seconds_node_selection = phase_timer.ElapsedSeconds();
 

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "diffusion/triggering.h"
+#include "engine/execution_options.h"
 #include "engine/sample_backend.h"
 #include "engine/solve_context.h"
 #include "graph/graph.h"
@@ -23,8 +24,10 @@
 
 namespace timpp {
 
-/// Configuration of a TIM/TIM+ run.
-struct TimOptions {
+/// Configuration of a TIM/TIM+ run. All three phases (Algorithms 2, 3
+/// and 1) consume one SamplingEngine stream built from the inherited
+/// execution settings; results are bit-reproducible in `seed` alone.
+struct TimOptions : ExecutionOptions {
   /// Seed-set size k ∈ [1, n].
   int k = 50;
   /// Approximation slack ε ∈ (0, 1]; the guarantee is (1-1/e-ε).
@@ -54,15 +57,6 @@ struct TimOptions {
   /// in-arc runs are long (weighted cascade, uniform). Seed sets differ
   /// bit-wise between modes but are statistically indistinguishable.
   SamplerMode sampler_mode = SamplerMode::kAuto;
-  /// Sampling worker threads shared by all three phases (Algorithms 2, 3
-  /// and 1 all consume i.i.d. RR sets from one SamplingEngine, so every
-  /// phase parallelizes embarrassingly). Under the engine's deterministic
-  /// merge contract results are bit-reproducible in `seed` alone —
-  /// independent of num_threads. 1 = fully sequential.
-  unsigned num_threads = 1;
-  /// Pin sampling worker threads to CPUs (placement only; results are
-  /// invariant to it).
-  bool pin_threads = false;
   /// Soft cap (bytes; 0 = unlimited) on the node-selection RR collection's
   /// resident DataBytes — the §7.2 memory knob. Past the cap, Algorithm 1
   /// degrades to streaming sample-and-discard selection (retained-prefix
@@ -71,21 +65,8 @@ struct TimOptions {
   /// budget-off run, at up to k extra sampling passes. KPT estimation and
   /// refinement keep O(small) collections and are not budgeted.
   size_t memory_budget_bytes = 0;
-  /// Parent directory for disk-spilled RR prefixes (the out-of-core tier;
-  /// empty = no spill). Only consulted when memory_budget_bytes trips:
-  /// the non-resident suffix is then written once as sequential shard
-  /// chunks and replayed from disk each greedy round instead of being
-  /// regenerated by graph traversal — same seeds either way, with
-  /// regeneration_passes == 0 while the store stays healthy. Chunk files
-  /// live in a unique per-run subdirectory, deleted when the run ends.
-  std::string spill_dir;
   /// Master RNG seed; every run with equal options is bit-reproducible.
   uint64_t seed = 0x7145ULL;
-  /// Where sample production runs: in-process threads (default) or
-  /// coordinated worker subprocesses (engine/sample_backend.h). Seeds,
-  /// θ and all stats are bit-identical across backends; only throughput
-  /// and failure modes (a worker can die) differ.
-  SampleBackendSpec sample_backend;
 };
 
 /// Everything measured during a run — feeds Figures 4, 5, and 12.
@@ -129,8 +110,8 @@ struct TimStats {
   uint64_t rr_sets_spilled = 0;
   uint64_t sets_spill_read = 0;
   uint64_t spill_bytes_written = 0;
-  /// Full spill-store counter snapshot (chunk loads/hits, SLRU
-  /// hot/probation hit split). Zero without a store.
+  /// Full spill-store counter snapshot (chunks written and loaded, sets
+  /// read). Zero without a store.
   RRSpillStats spill;
   /// Algorithms 2(+3) were restored from a SolveContext's PhaseCache
   /// instead of recomputed (serving layer; always false standalone).

@@ -142,12 +142,15 @@ SpillFillResult SpillFillTo(SampleSource& source, RRSpillStore& spill,
     source.Seek(spill.CoveredEnd(source.position(),
                                  target_index - source.position()));
   }
+  // One transient batch buffer, cleared (capacity kept) between batches.
+  RRCollection scratch(n);
+  std::vector<uint64_t> scratch_edges;
   while (source.position() < target_index) {
     const uint64_t pos = source.position();
     const uint64_t want =
         std::min<uint64_t>(kSetsPerFillBatch, target_index - pos);
-    RRCollection scratch(n);
-    std::vector<uint64_t> scratch_edges;
+    scratch.Clear();
+    scratch_edges.clear();
     const SampleBatch batch = source.Fetch(&scratch, want, &scratch_edges);
     result.batch.sets_added += batch.sets_added;
     result.batch.edges_examined += batch.edges_examined;

@@ -56,12 +56,6 @@ void AppendSpillMetrics(uint64_t rr_sets_spilled, uint64_t sets_spill_read,
                     static_cast<double>(sets_spill_read));
   out->emplace_back("spill_bytes_written",
                     static_cast<double>(io.bytes_written));
-  // SLRU hit split, each counter only when it fired.
-  const auto add = [out](const char* name, uint64_t value) {
-    if (value != 0) out->emplace_back(name, static_cast<double>(value));
-  };
-  add("spill_hot_hits", io.hot_hits);
-  add("spill_probation_hits", io.probation_hits);
 }
 
 // ------------------------------------------------------------- TIM/TIM+ --
@@ -83,6 +77,7 @@ class TimInfluenceSolver final : public InfluenceSolver {
                         const SolveContext& context,
                         SolverResult* result) override {
     TimOptions tim;
+    static_cast<ExecutionOptions&>(tim) = options;
     tim.k = options.k;
     tim.epsilon = options.epsilon;
     tim.ell = options.ell;
@@ -91,12 +86,8 @@ class TimInfluenceSolver final : public InfluenceSolver {
     tim.use_refinement = use_refinement_;
     tim.max_hops = options.max_hops;
     tim.sampler_mode = options.sampler_mode;
-    tim.num_threads = options.num_threads;
-    tim.pin_threads = options.pin_threads;
     tim.seed = options.seed;
     tim.memory_budget_bytes = options.memory_budget_bytes;
-    tim.spill_dir = options.spill_dir;
-    tim.sample_backend = options.sample_backend;
 
     // A memory budget caps this request's resident bytes — meaningless
     // against a shared collection, so budgeted requests run standalone.
@@ -158,6 +149,7 @@ class ImmInfluenceSolver final : public InfluenceSolver {
                         const SolveContext& context,
                         SolverResult* result) override {
     ImmOptions imm;
+    static_cast<ExecutionOptions&>(imm) = options;
     imm.k = options.k;
     imm.epsilon = options.epsilon;
     imm.ell = options.ell;
@@ -165,12 +157,8 @@ class ImmInfluenceSolver final : public InfluenceSolver {
     imm.custom_model = options.custom_model;
     imm.max_hops = options.max_hops;
     imm.sampler_mode = options.sampler_mode;
-    imm.num_threads = options.num_threads;
-    imm.pin_threads = options.pin_threads;
     imm.seed = options.seed;
     imm.memory_budget_bytes = options.memory_budget_bytes;
-    imm.spill_dir = options.spill_dir;
-    imm.sample_backend = options.sample_backend;
 
     // Budgeted requests run standalone (see TimInfluenceSolver).
     const SolveContext effective =
@@ -228,6 +216,7 @@ class RisInfluenceSolver final : public InfluenceSolver {
                         const SolveContext& context,
                         SolverResult* result) override {
     RisOptions ris;
+    static_cast<ExecutionOptions&>(ris) = options;
     ris.epsilon = options.epsilon;
     ris.ell = options.ell;
     ris.model = options.model;
@@ -235,16 +224,8 @@ class RisInfluenceSolver final : public InfluenceSolver {
     ris.sampler_mode = options.sampler_mode;
     ris.tau_scale = options.ris_tau_scale;
     ris.max_rr_sets = options.ris_max_sets;
-    // The RIS-specific budget knob wins when set; the generic budget
-    // otherwise applies to RIS too (as its stop switch).
-    ris.memory_budget_bytes = options.ris_memory_budget_bytes != 0
-                                  ? options.ris_memory_budget_bytes
-                                  : options.memory_budget_bytes;
-    ris.num_threads = options.num_threads;
-    ris.pin_threads = options.pin_threads;
+    ris.memory_budget_bytes = options.memory_budget_bytes;
     ris.seed = options.seed;
-    ris.spill_dir = options.spill_dir;
-    ris.sample_backend = options.sample_backend;
 
     // RIS's budget contract is per-request (standalone), and RIS ignores
     // max_hops — a shared stream keyed with a hop bound would diverge

@@ -190,10 +190,7 @@ bool LocalThreadBackend::AppendDirect(uint64_t base, uint64_t count,
                                       std::vector<uint64_t>* per_set_edges) {
   if (shards_.size() != 1) return false;
   // Sequential fast path: append straight into the output, no shard copy.
-  // Identical output by the per-index seeding argument. Member counts are
-  // unknown until sampled, so only the per-set arrays are pre-sized (the
-  // chunked path also reserves the node array, from its shard totals).
-  out->Reserve(count, 0);
+  // Identical output by the per-index seeding argument.
   Shard& shard = *shards_[0];
   for (uint64_t i = base; i < base + count; ++i) {
     Rng rng = SampleIndexRng(seed_, i);

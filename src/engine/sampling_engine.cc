@@ -69,13 +69,10 @@ SampleBatch SamplingEngine::SampleInto(RRCollection* out, uint64_t count,
                                 per_set_edges)) {
       if (!FillOk(next_index_, batch, nullptr)) break;
       uint64_t batch_nodes = 0;
+      uint64_t batch_edges = 0;
       for (const SampleBackend::Chunk& chunk : backend_->chunks()) {
         batch_nodes +=
             chunk.sets->Offset(chunk.end) - chunk.sets->Offset(chunk.begin);
-      }
-      out->Reserve(batch, batch_nodes);
-      uint64_t batch_edges = 0;
-      for (const SampleBackend::Chunk& chunk : backend_->chunks()) {
         out->AppendRange(*chunk.sets, chunk.begin, chunk.end - chunk.begin);
         for (size_t j = chunk.begin; j < chunk.end; ++j) {
           batch_edges += (*chunk.edges)[j];

@@ -3,8 +3,9 @@
 //
 // A solver binds a graph at construction (via SolverRegistry::Create) and
 // executes with one options struct shared by all algorithms: common
-// parameters (k, ε, ℓ, model, threads, seed) plus a handful of
-// family-specific knobs that solvers outside the family ignore. Stats come
+// parameters (k, ε, ℓ, model, seed), the execution settings, plus a
+// handful of family-specific knobs that solvers outside the family
+// ignore. Stats come
 // back as a uniform name → value list so callers (CLI, benches, serving
 // layers) can report any algorithm without branching on its concrete
 // result type.
@@ -17,10 +18,10 @@
 #include <vector>
 
 #include "diffusion/triggering.h"
+#include "engine/execution_options.h"
 #include "engine/sample_backend.h"
 #include "engine/solve_context.h"
 #include "graph/graph.h"
-#include "rrset/rr_spill.h"
 #include "util/status.h"
 #include "util/types.h"
 
@@ -28,8 +29,9 @@ namespace timpp {
 
 /// One options struct for every registered algorithm. Solvers read the
 /// fields they understand and ignore the rest; defaults are the values the
-/// paper (or the quoted original work) recommends.
-struct SolverOptions {
+/// paper (or the quoted original work) recommends. The execution settings
+/// (threads, pinning, backend, spill dir) come from ExecutionOptions.
+struct SolverOptions : ExecutionOptions {
   /// Seed-set size k ∈ [1, n].
   int k = 50;
   /// Approximation slack ε (RIS-family algorithms).
@@ -45,12 +47,6 @@ struct SolverOptions {
   /// RR-traversal strategy for RR-set algorithms: geometric skip sampling
   /// over constant-probability arc runs vs per-arc coins (SamplerMode).
   SamplerMode sampler_mode = SamplerMode::kAuto;
-  /// Sampling worker threads (RR-set algorithms; results stay identical
-  /// across thread counts under the SamplingEngine contract).
-  unsigned num_threads = 1;
-  /// Pin sampling worker threads to CPUs (util/ThreadPool affinity).
-  /// Placement only — results are invariant to it.
-  bool pin_threads = false;
   /// Master RNG seed for randomized algorithms.
   uint64_t seed = 0x7145ULL;
   /// Soft cap (bytes; 0 = unlimited) on resident RR-collection DataBytes
@@ -60,20 +56,6 @@ struct SolverOptions {
   /// coverage/streaming_cover.h). Solvers without RR collections ignore
   /// it.
   size_t memory_budget_bytes = 0;
-  /// Parent directory for disk-spilled RR prefixes (empty = no spill
-  /// tier). Only consulted by RR-set solvers when memory_budget_bytes
-  /// trips: non-resident index ranges are then written to disk once and
-  /// replayed each greedy round instead of regenerated by graph traversal
-  /// — identical output, regeneration_passes == 0 while the store stays
-  /// healthy. Chunk files live in unique per-run subdirectories, deleted
-  /// when the run ends.
-  std::string spill_dir;
-  /// Where RR-set production runs: in-process threads (default) or
-  /// process shards — worker subprocesses coordinated over pipes
-  /// (engine/sample_backend.h; `im_cli --backend=procs:N`). Seeds, θ, LB
-  /// and all stats are bit-identical across backends for every RR-set
-  /// solver; non-RR solvers ignore it.
-  SampleBackendSpec sample_backend;
 
   // ---- family-specific knobs ----------------------------------------
   /// Monte-Carlo cascades per spread estimate (greedy/CELF family).
@@ -89,8 +71,6 @@ struct SolverOptions {
   double ris_tau_scale = 1.0;
   /// Cap on RIS's generated RR sets (0 = none).
   uint64_t ris_max_sets = 0;
-  /// Soft cap on RIS's RR-collection heap bytes (0 = none).
-  size_t ris_memory_budget_bytes = 0;
   /// IRIE rank-propagation strength α.
   double irie_alpha = 0.7;
   /// SIMPATH path-pruning threshold η.

@@ -16,7 +16,6 @@ RRSetId RRCollection::Add(std::span<const NodeId> nodes, uint64_t width) {
 void RRCollection::AppendShard(const RRCollection& shard) {
   const size_t base = nodes_.size();
   nodes_.insert(nodes_.end(), shard.nodes_.begin(), shard.nodes_.end());
-  offsets_.reserve(offsets_.size() + shard.num_sets());
   for (size_t i = 1; i < shard.offsets_.size(); ++i) {
     offsets_.push_back(base + shard.offsets_[i]);
   }
@@ -34,7 +33,6 @@ void RRCollection::AppendRange(const RRCollection& src, size_t first,
   const EdgeIndex src_base = src.offsets_[first];
   nodes_.insert(nodes_.end(), src.nodes_.begin() + src.offsets_[first],
                 src.nodes_.begin() + src.offsets_[first + count]);
-  offsets_.reserve(offsets_.size() + count);
   for (size_t i = first + 1; i <= first + count; ++i) {
     offsets_.push_back(base + (src.offsets_[i] - src_base));
   }
@@ -46,10 +44,19 @@ void RRCollection::AppendRange(const RRCollection& src, size_t first,
   index_built_ = false;
 }
 
-void RRCollection::Reserve(size_t sets, size_t nodes) {
-  offsets_.reserve(offsets_.size() + sets);
-  widths_.reserve(widths_.size() + sets);
-  nodes_.reserve(nodes_.size() + nodes);
+void RRCollection::AppendPacked(std::span<const NodeId> nodes,
+                                std::span<const uint64_t> sizes,
+                                std::span<const uint64_t> widths) {
+  nodes_.insert(nodes_.end(), nodes.begin(), nodes.end());
+  size_t i = offsets_.size();
+  offsets_.resize(i + sizes.size());
+  for (uint64_t size : sizes) {
+    offsets_[i] = offsets_[i - 1] + size;
+    ++i;
+  }
+  widths_.insert(widths_.end(), widths.begin(), widths.end());
+  for (uint64_t width : widths) total_width_ += width;
+  index_built_ = false;
 }
 
 void RRCollection::BuildIndex() {

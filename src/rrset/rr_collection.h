@@ -15,7 +15,8 @@ namespace timpp {
 /// Flat, append-only container of RR sets.
 ///
 /// Sets are stored back-to-back in one node array with an offset array
-/// (CSR layout). After all sets are added, BuildIndex() materializes the
+/// (CSR layout). Every append path grows the arrays geometrically, so a
+/// collection filled batch by batch is copied O(1) times per set. After all sets are added, BuildIndex() materializes the
 /// inverted node -> set-ids index used by coverage computations. Adding
 /// after BuildIndex() invalidates the index (checked in debug builds via
 /// index_built()).
@@ -43,9 +44,14 @@ class RRCollection {
   /// past src.num_sets() are clamped. Invalidates the index.
   void AppendRange(const RRCollection& src, size_t first, size_t count);
 
-  /// Pre-sizes the backing arrays (offsets/widths for `sets` more sets,
-  /// nodes for `nodes` more members).
-  void Reserve(size_t sets, size_t nodes);
+  /// Bulk-appends sets stored back to back: set i is the next `sizes[i]`
+  /// entries of `nodes`, with width `widths[i]` (equal span lengths for
+  /// sizes and widths; Σ sizes == nodes.size()). The decode half of the
+  /// RR-shard format: one insert per array instead of per-set Adds.
+  /// Invalidates the index.
+  void AppendPacked(std::span<const NodeId> nodes,
+                    std::span<const uint64_t> sizes,
+                    std::span<const uint64_t> widths);
 
   /// Number of stored sets (the paper's θ once sampling finishes).
   size_t num_sets() const { return offsets_.size() - 1; }

@@ -151,14 +151,10 @@ Status DeserializeRRShard(std::string_view bytes, NodeId num_graph_nodes,
     }
   }
 
-  sets->Reserve(header.num_sets, header.total_nodes);
-  edges->reserve(edges->size() + header.num_sets);
-  uint64_t offset = 0;
-  for (uint64_t i = 0; i < header.num_sets; ++i) {
-    sets->Add({nodes + offset, nodes + offset + node_counts[i]}, widths[i]);
-    edges->push_back(set_edges[i]);
-    offset += node_counts[i];
-  }
+  sets->AppendPacked({nodes, header.total_nodes},
+                     {node_counts, header.num_sets},
+                     {widths, header.num_sets});
+  edges->insert(edges->end(), set_edges, set_edges + header.num_sets);
   if (info != nullptr) *info = header;
   return Status::OK();
 }

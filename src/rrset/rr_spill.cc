@@ -162,66 +162,6 @@ uint64_t RRSpillStore::end_index() const {
   return chunks_.empty() ? 0 : chunks_.back().first + chunks_.back().count;
 }
 
-size_t RRSpillStore::PinnedCapacity() const {
-  return std::max<size_t>(1, options_.max_pinned_chunks);
-}
-
-size_t RRSpillStore::HotCapacity() const {
-  const size_t cap = PinnedCapacity();
-  // Half the slots, rounded up; probation keeps at least one so fresh
-  // loads always have a home that a second touch can promote from.
-  return std::min((cap + 1) / 2, cap - 1);
-}
-
-const RRSpillStore::Pinned* RRSpillStore::TouchLocked(size_t chunk_index) {
-  for (auto it = hot_.begin(); it != hot_.end(); ++it) {
-    if (it->chunk_index == chunk_index) {
-      hot_.splice(hot_.begin(), hot_, it);  // hot MRU
-      stats_.chunk_hits += 1;
-      stats_.hot_hits += 1;
-      return &hot_.front();
-    }
-  }
-  for (auto it = probation_.begin(); it != probation_.end(); ++it) {
-    if (it->chunk_index != chunk_index) continue;
-    stats_.chunk_hits += 1;
-    stats_.probation_hits += 1;
-    const size_t hot_cap = HotCapacity();
-    if (hot_cap == 0) {
-      probation_.splice(probation_.begin(), probation_, it);
-      return &probation_.front();
-    }
-    // Promote: a re-touched chunk moves to the hot section, shielding it
-    // from the churn of a sequential scan's first-touch stream.
-    hot_.splice(hot_.begin(), probation_, it);
-    while (hot_.size() > hot_cap) {
-      // Demote the hot LRU rather than dropping it: it outranks any
-      // never-re-touched probation entry.
-      probation_.splice(probation_.begin(), hot_, std::prev(hot_.end()));
-    }
-    return &hot_.front();
-  }
-  return nullptr;
-}
-
-const RRSpillStore::Pinned* RRSpillStore::InsertPinnedLocked(
-    Pinned&& loaded) {
-  probation_.push_front(std::move(loaded));
-  const size_t cap = PinnedCapacity();
-  while (hot_.size() + probation_.size() > cap) {
-    // Probation (never re-touched) drains first; the hot section is only
-    // tapped when probation is down to the entry just inserted.
-    if (probation_.size() > 1) {
-      probation_.pop_back();
-    } else if (!hot_.empty()) {
-      hot_.pop_back();
-    } else {
-      break;
-    }
-  }
-  return &probation_.front();
-}
-
 Status RRSpillStore::ReadChunkBytesSync(const Chunk& chunk,
                                         std::string* bytes) const {
   std::ifstream in(chunk.path, std::ios::binary);
@@ -234,25 +174,18 @@ Status RRSpillStore::ReadChunkBytesSync(const Chunk& chunk,
   return Status::OK();
 }
 
-Status RRSpillStore::LoadChunkLocked(size_t chunk_index, const Pinned** out) {
-  if (const Pinned* hit = TouchLocked(chunk_index)) {
-    *out = hit;
-    return Status::OK();
-  }
-
+Status RRSpillStore::LoadChunkLocked(size_t chunk_index, RRCollection* sets,
+                                     std::vector<uint64_t>* edges) {
   const Chunk& chunk = chunks_[chunk_index];
   std::string bytes;
   TIMPP_RETURN_NOT_OK(ReadChunkBytesSync(chunk, &bytes));
-
-  Pinned loaded{chunk_index, RRCollection(num_graph_nodes_), {}};
-  TIMPP_RETURN_NOT_OK(DeserializeRRShard(bytes, num_graph_nodes_,
-                                         &loaded.sets, &loaded.edges));
-  if (loaded.sets.num_sets() != chunk.count) {
+  TIMPP_RETURN_NOT_OK(
+      DeserializeRRShard(bytes, num_graph_nodes_, sets, edges));
+  if (sets->num_sets() != chunk.count) {
     return Status::Corruption("rr spill: chunk " + chunk.path +
                               " holds a different set count than written");
   }
   stats_.chunk_loads += 1;
-  *out = InsertPinnedLocked(std::move(loaded));
   return Status::OK();
 }
 
@@ -267,15 +200,15 @@ Status RRSpillStore::VisitRange(uint64_t first, uint64_t count,
   while (pos < end) {
     const size_t ci = FindChunkLocked(pos);
     if (ci >= chunks_.size() || chunks_[ci].first > pos) break;  // gap
-    const Pinned* pinned = nullptr;
-    status = LoadChunkLocked(ci, &pinned);
+    RRCollection sets(num_graph_nodes_);
+    std::vector<uint64_t> edges;
+    status = LoadChunkLocked(ci, &sets, &edges);
     if (!status.ok()) break;  // caller regenerates from *stopped_at
     const Chunk& chunk = chunks_[ci];
     const uint64_t stop = std::min(end, chunk.first + chunk.count);
     for (uint64_t index = pos; index < stop; ++index) {
       if (filter && !filter(index)) continue;
-      visit(index,
-            pinned->sets.Set(static_cast<RRSetId>(index - chunk.first)));
+      visit(index, sets.Set(static_cast<RRSetId>(index - chunk.first)));
       ++visited;
     }
     pos = stop;
@@ -304,16 +237,16 @@ Status RRSpillStore::ReadRange(uint64_t first, uint64_t count,
   const uint64_t end = first + count;
   while (pos < end) {
     const size_t ci = FindChunkLocked(pos);
-    const Pinned* pinned = nullptr;
-    TIMPP_RETURN_NOT_OK(LoadChunkLocked(ci, &pinned));
+    RRCollection sets(num_graph_nodes_);
+    std::vector<uint64_t> edges;
+    TIMPP_RETURN_NOT_OK(LoadChunkLocked(ci, &sets, &edges));
     const Chunk& chunk = chunks_[ci];
     const uint64_t stop = std::min(end, chunk.first + chunk.count);
-    for (uint64_t index = pos; index < stop; ++index) {
-      const size_t local = static_cast<size_t>(index - chunk.first);
-      staged.Add(pinned->sets.Set(static_cast<RRSetId>(local)),
-                 pinned->sets.Width(static_cast<RRSetId>(local)));
-      staged_edges.push_back(pinned->edges[local]);
-    }
+    const size_t local = static_cast<size_t>(pos - chunk.first);
+    const size_t count_here = static_cast<size_t>(stop - pos);
+    staged.AppendRange(sets, local, count_here);
+    staged_edges.insert(staged_edges.end(), edges.begin() + local,
+                        edges.begin() + local + count_here);
     stats_.sets_read += stop - pos;
     pos = stop;
   }

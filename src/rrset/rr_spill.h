@@ -4,11 +4,11 @@
 // resident; the suffix used to be *regenerated* from the per-index RNG on
 // every greedy round (O(passes × sampling cost)). RRSpillStore instead
 // writes evicted index ranges as sequential rr_serialization shard files
-// ("chunks") and streams them back through a small pinned-chunk cache —
-// sequential disk reads replace repeated graph traversals, and the
-// replayed sets are byte-identical to the sampled originals (the shard
-// format round-trips members, widths and per-set edge counts exactly, so
-// seeds/θ/LB match the regeneration path bit for bit).
+// ("chunks") and streams them back one chunk at a time — sequential disk
+// reads replace repeated graph traversals, and the replayed sets are
+// byte-identical to the sampled originals (the shard format round-trips
+// members, widths and per-set edge counts exactly, so seeds/θ/LB match the
+// regeneration path bit for bit).
 //
 // One store holds one engine's global index space: chunks are appended in
 // increasing index order (gaps allowed — IMM spills its sampling phase and
@@ -17,21 +17,16 @@
 // by global index; ranges the store does not cover simply fall back to
 // engine regeneration at the caller (VisitRange reports how far it got).
 //
-// Replay is synchronous: a visit that reaches an unpinned chunk reads its
-// file with one sequential read under the store mutex, decodes it and
-// pins it.
-//
-// The pinned cache is a sectioned LRU (SLRU): a first touch lands a chunk
-// in the *probation* section, a re-touch promotes it to the *hot* section,
-// and eviction drains probation first — so one sequential replay pass
-// (all first touches) can only churn probation and can never flush a
-// re-touched hot chunk. The hot section gets half of the
-// `max_pinned_chunks` capacity, rounded up, but probation always keeps at
-// least one slot.
+// Replay is synchronous and uncached: each chunk a visit reaches is read
+// with one sequential read, decoded, visited and dropped. A greedy round
+// is one VisitRange over the whole spilled range and serving preloads
+// read forward, so a small chunk cache would never hit (traced budgeted
+// TIM+ runs loaded 32,050 chunks with 0 hits); the page cache already
+// keeps recently written chunk files warm.
 //
 // Thread-safe: a single mutex serializes spills, loads and visits. The
 // store is the budget path's slow tier — correctness and bounded memory
-// (at most `max_pinned_chunks` chunks resident) matter more than reader
+// (one decoded chunk resident per visit) matter more than reader
 // concurrency here.
 //
 // Files live in a per-store unique subdirectory of `options.dir` and are
@@ -41,7 +36,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <mutex>
 #include <span>
 #include <string>
@@ -57,11 +51,8 @@ struct RRSpillOptions {
   /// Parent directory for this store's chunk files (created if missing).
   std::string dir;
   /// Sets per chunk file. Chunk size bounds both the spill write batches
-  /// and the resident footprint of a pinned chunk.
+  /// and the resident footprint of a loaded chunk.
   uint64_t sets_per_chunk = 4096;
-  /// Loaded chunks kept resident (SLRU across both sections). 2 covers
-  /// the common pattern of a visit range straddling one chunk boundary.
-  size_t max_pinned_chunks = 2;
 };
 
 /// Counters for spill accounting (monotone; snapshot via stats()).
@@ -69,8 +60,9 @@ struct RRSpillStats {
   uint64_t chunks_written = 0;
   uint64_t sets_written = 0;
   uint64_t bytes_written = 0;
-  /// Chunk-file loads (cache misses) and cache hits; hits split below.
+  /// Chunk-file loads: one per chunk a visit or read reaches.
   uint64_t chunk_loads = 0;
+  /// Always 0 (there is no chunk cache); kept because perfbench reads it.
   uint64_t chunk_hits = 0;
   /// Sets streamed back to visitors/readers.
   uint64_t sets_read = 0;
@@ -78,10 +70,6 @@ struct RRSpillStats {
   uint64_t prefetch_issued = 0;
   uint64_t prefetch_hits = 0;
   uint64_t sync_fallback_reads = 0;
-  /// SLRU section split of chunk_hits: hot_hits + probation_hits ==
-  /// chunk_hits.
-  uint64_t hot_hits = 0;
-  uint64_t probation_hits = 0;
 };
 
 class RRSpillStore {
@@ -152,12 +140,6 @@ class RRSpillStore {
     std::string path;
     uint64_t bytes = 0;
   };
-  struct Pinned {
-    size_t chunk_index;
-    RRCollection sets;
-    std::vector<uint64_t> edges;
-  };
-
   /// Creates the unique chunk subdirectory on first use.
   Status EnsureDirLocked();
 
@@ -165,18 +147,10 @@ class RRSpillStore {
   /// chunks_.size() when uncovered.
   size_t FindChunkLocked(uint64_t index) const;
 
-  /// Loads (or cache-hits) chunk `chunk_index`; on success `*out` points
-  /// at the pinned entry (valid until the next load under this mutex).
-  Status LoadChunkLocked(size_t chunk_index, const Pinned** out);
-
-  /// SLRU lookup: splices a hot hit to the hot MRU position, promotes a
-  /// probation hit into hot (demoting the hot LRU when over the hot cap).
-  /// Null on miss. Counts hit stats.
-  const Pinned* TouchLocked(size_t chunk_index);
-
-  /// Inserts a freshly loaded chunk at the probation MRU position and
-  /// evicts (probation LRU first) down to capacity.
-  const Pinned* InsertPinnedLocked(Pinned&& loaded);
+  /// Reads and decodes chunk `chunk_index` into the empty `*sets` and
+  /// `*edges`.
+  Status LoadChunkLocked(size_t chunk_index, RRCollection* sets,
+                         std::vector<uint64_t>* edges);
 
   /// Largest e <= first + limit with [first, e) fully chunk-covered.
   uint64_t CoveredEndLocked(uint64_t first, uint64_t limit) const;
@@ -184,18 +158,12 @@ class RRSpillStore {
   /// Reads a chunk file's bytes.
   Status ReadChunkBytesSync(const Chunk& chunk, std::string* bytes) const;
 
-  /// Total pinned capacity and the hot section's share of it.
-  size_t PinnedCapacity() const;
-  size_t HotCapacity() const;
-
   const NodeId num_graph_nodes_;
   const RRSpillOptions options_;
 
   mutable std::mutex mu_;
   std::string dir_;             // unique subdir; empty until first spill
   std::vector<Chunk> chunks_;   // sorted by first, non-overlapping
-  std::list<Pinned> hot_;        // front = most recently used
-  std::list<Pinned> probation_;  // front = most recently used
   RRSpillStats stats_;
 };
 

@@ -5,12 +5,8 @@
 
 namespace timpp {
 
-GraphContext::GraphContext(Graph graph, unsigned num_threads,
-                           SampleBackendSpec backend, bool pin_threads)
-    : graph_(std::move(graph)),
-      num_threads_(std::max(1u, num_threads)),
-      backend_(std::move(backend)),
-      pin_threads_(pin_threads) {}
+GraphContext::GraphContext(Graph graph, const ExecutionOptions& execution)
+    : graph_(std::move(graph)), execution_(execution) {}
 
 std::shared_ptr<SharedRRCache> GraphContext::AcquireStream(
     const StreamKey& key) {
@@ -22,18 +18,18 @@ std::shared_ptr<SharedRRCache> GraphContext::AcquireStream(
     config.custom_model = key.custom_model;
     config.max_hops = key.max_hops;
     config.sampler_mode = key.sampler_mode;
-    config.num_threads = num_threads_;
-    config.pin_threads = pin_threads_;
+    config.num_threads = std::max(1u, execution_.num_threads);
+    config.pin_threads = execution_.pin_threads;
     config.seed = key.seed;
-    config.backend = backend_;
+    config.backend = execution_.sample_backend;
     std::shared_ptr<RRSpillStore> spill;
-    if (!spill_dir_.empty()) {
+    if (!execution_.spill_dir.empty()) {
       // The store persists across cache generations under this key: the
       // eviction hook filled it, this (re-)creation reads it back.
       auto store = spill_stores_.find(key);
       if (store == spill_stores_.end()) {
         RRSpillOptions spill_options;
-        spill_options.dir = spill_dir_;
+        spill_options.dir = execution_.spill_dir;
         store = spill_stores_
                     .emplace(key, std::make_shared<RRSpillStore>(
                                       graph_.num_nodes(), spill_options))
@@ -58,16 +54,6 @@ void GraphContext::set_cache_budget_bytes(size_t bytes) {
 size_t GraphContext::cache_budget_bytes() const {
   std::lock_guard<std::mutex> lock(mu_);
   return cache_budget_bytes_;
-}
-
-void GraphContext::set_spill_dir(std::string dir) {
-  std::lock_guard<std::mutex> lock(mu_);
-  spill_dir_ = std::move(dir);
-}
-
-std::string GraphContext::spill_dir() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return spill_dir_;
 }
 
 void GraphContext::RetireLocked(const CacheEntry& entry) {

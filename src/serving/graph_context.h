@@ -16,9 +16,10 @@
 // re-deriving an evicted stream later costs resampling but never changes
 // results (the stream is a pure function of its key), so a capped context
 // still serves bit-identical responses. With a spill dir configured
-// (`set_spill_dir`), eviction first writes the victim's published prefix
-// to a per-key RRSpillStore and the re-created stream preloads it from
-// disk — same bytes, sequential reads instead of graph traversal.
+// (ExecutionOptions::spill_dir), each stream key gets one RRSpillStore
+// shared by every cache generation under that key: eviction first writes
+// the victim's published prefix to it and the re-created stream preloads
+// it from disk — same bytes, sequential reads instead of graph traversal.
 // ReleaseCaches() remains the drop-everything escape hatch.
 //
 // Concurrency: requests run truly concurrently against one context. The
@@ -39,9 +40,9 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <string>
 
 #include "diffusion/triggering.h"
+#include "engine/execution_options.h"
 #include "engine/phase_cache.h"
 #include "engine/sample_backend.h"
 #include "graph/graph.h"
@@ -75,21 +76,16 @@ struct StreamKey {
 /// and enforce the budget concurrently.
 class GraphContext {
  public:
-  /// Takes ownership of `graph`. `num_threads` is the sampling
-  /// parallelism every cache engine of this context is built with,
-  /// `backend` is where that sampling runs (local threads or process
-  /// shards — responses are identical either way), and `pin_threads`
-  /// pins those sampling workers to CPUs.
-  explicit GraphContext(Graph graph, unsigned num_threads = 1,
-                        SampleBackendSpec backend = {},
-                        bool pin_threads = false);
+  /// Takes ownership of `graph`. Every cache engine of this context
+  /// samples with `execution`'s threads, pinning and backend (responses
+  /// are identical for any of them); its spill_dir, when set, enables the
+  /// spill-on-evict tier described above.
+  explicit GraphContext(Graph graph, const ExecutionOptions& execution = {});
 
   GraphContext(const GraphContext&) = delete;
   GraphContext& operator=(const GraphContext&) = delete;
 
   const Graph& graph() const { return graph_; }
-  unsigned num_threads() const { return num_threads_; }
-  const SampleBackendSpec& backend() const { return backend_; }
 
   /// The shared stream cache for `key`, created on first use and marked
   /// most-recently-used. The returned handle shares ownership: a stream
@@ -110,17 +106,6 @@ class GraphContext {
   /// request; callers driving a context directly decide when.
   void set_cache_budget_bytes(size_t bytes);
   size_t cache_budget_bytes() const;
-
-  /// Parent directory of the context's spill tier (empty = no spill).
-  /// With a spill dir set, each stream key gets one RRSpillStore shared by
-  /// every cache generation under that key: EnforceCacheBudget writes a
-  /// victim's published prefix to disk before dropping it, and the
-  /// re-created cache preloads those bytes instead of resampling — an
-  /// evicted-and-reacquired stream costs sequential disk reads, not graph
-  /// traversal. Set before the first AcquireStream; streams created
-  /// earlier stay spill-less.
-  void set_spill_dir(std::string dir);
-  std::string spill_dir() const;
 
   /// Evicts least-recently-used stream caches until SharedMemoryBytes()
   /// fits the budget (possibly evicting every stream when even one
@@ -162,16 +147,13 @@ class GraphContext {
   void RetireLocked(const CacheEntry& entry);
 
   Graph graph_;
-  unsigned num_threads_;
-  SampleBackendSpec backend_;
-  bool pin_threads_;
+  const ExecutionOptions execution_;
   PhaseCache phase_cache_;
   mutable std::mutex mu_;  // guards everything below
   std::map<StreamKey, CacheEntry> caches_;
   // One disk store per stream key, outliving cache generations: the
   // eviction hook writes into it, the successor cache preloads from it.
   std::map<StreamKey, std::shared_ptr<RRSpillStore>> spill_stores_;
-  std::string spill_dir_;
   size_t cache_budget_bytes_ = 0;
   uint64_t use_tick_ = 0;
   uint64_t streams_evicted_ = 0;

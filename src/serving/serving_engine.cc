@@ -16,6 +16,9 @@ namespace {
 SolverOptions ToSolverOptions(const ImRequest& request,
                               const ServingOptions& serving) {
   SolverOptions options;
+  // Standalone-path requests (budgeted, non-RR, custom-model) still run
+  // their sampling and spilling on the engine-wide settings.
+  static_cast<ExecutionOptions&>(options) = serving;
   options.k = request.k;
   options.epsilon = request.epsilon;
   options.ell = request.ell;
@@ -25,16 +28,10 @@ SolverOptions ToSolverOptions(const ImRequest& request,
   options.max_hops = request.max_hops;
   options.seed = request.seed;
   options.memory_budget_bytes = request.memory_budget_bytes;
-  options.spill_dir = serving.spill_dir;
   options.mc_samples = request.mc_samples;
   options.mc_batch = request.mc_batch;
   options.ris_tau_scale = request.ris_tau_scale;
   options.ris_max_sets = request.ris_max_sets;
-  options.num_threads = serving.num_threads;
-  options.pin_threads = serving.pin_threads;
-  // Standalone-path requests (budgeted, non-RR, custom-model) still run
-  // their sampling on the engine-wide backend.
-  options.sample_backend = serving.sample_backend;
   return options;
 }
 
@@ -61,11 +58,8 @@ Status ServingEngine::RegisterGraph(const std::string& name, Graph graph) {
   if (contexts_.count(name) != 0) {
     return Status::InvalidArgument("graph already registered: " + name);
   }
-  auto context = std::make_unique<GraphContext>(
-      std::move(graph), options_.num_threads, options_.sample_backend,
-      options_.pin_threads);
+  auto context = std::make_unique<GraphContext>(std::move(graph), options_);
   context->set_cache_budget_bytes(options_.shared_cache_budget_bytes);
-  context->set_spill_dir(options_.spill_dir);
   contexts_.emplace(name, std::move(context));
   return Status::OK();
 }

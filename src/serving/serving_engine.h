@@ -35,6 +35,7 @@
 #include <string>
 #include <vector>
 
+#include "engine/execution_options.h"
 #include "engine/solver.h"
 #include "graph/graph.h"
 #include "serving/graph_context.h"
@@ -43,29 +44,19 @@
 
 namespace timpp {
 
-/// Engine-wide settings.
-struct ServingOptions {
-  /// Sampling worker threads inside each request (results are invariant
-  /// to this value; it is pure throughput).
-  unsigned num_threads = 1;
-  /// Where each context's sampling runs (local threads or process
-  /// shards; engine/sample_backend.h). Responses are invariant to the
-  /// backend — the shared stream caches are keyed without it.
-  SampleBackendSpec sample_backend;
+/// Engine-wide settings. The inherited execution settings apply to every
+/// graph context and to every request's sampling; responses are invariant
+/// to them (the shared stream caches are keyed without them). The spill
+/// dir serves both budget-evicted shared streams (spilled, then preloaded
+/// on re-acquisition) and budgeted standalone requests; pin_threads also
+/// pins the Submit() request workers.
+struct ServingOptions : ExecutionOptions {
   /// Byte cap (0 = unlimited) on each graph context's shared RR
   /// collections, enforced after every request by LRU eviction of whole
   /// streams (GraphContext::EnforceCacheBudget). A capped engine returns
   /// bit-identical responses — evicted streams are re-derived on demand —
   /// at the price of resampling.
   size_t shared_cache_budget_bytes = 0;
-  /// Parent directory for the out-of-core spill tier (empty = none).
-  /// Two effects: budget evictions of shared streams write the victim's
-  /// prefix to disk and the re-created stream preloads it instead of
-  /// resampling (GraphContext::set_spill_dir), and budgeted standalone
-  /// requests spill their non-resident RR ranges there instead of
-  /// regenerating per greedy round (SolverOptions::spill_dir). Responses
-  /// stay bit-identical either way.
-  std::string spill_dir;
   /// Concurrent request workers behind Submit() (0 = hardware
   /// concurrency). Created lazily on the first Submit; the synchronous
   /// Solve/SolveBatch paths never start them.
@@ -73,9 +64,6 @@ struct ServingOptions {
   /// Admission bound for Submit(): queued-but-unstarted requests past
   /// this are rejected with Status::Unavailable (0 = unbounded).
   size_t max_pending_requests = 1024;
-  /// Pin worker threads (request workers and each request's sampling
-  /// workers) to CPUs. Placement only — results are invariant to it.
-  bool pin_threads = false;
 };
 
 /// One influence-maximization request. Field semantics match

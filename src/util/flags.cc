@@ -1,5 +1,6 @@
 #include "util/flags.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 
@@ -52,6 +53,17 @@ bool Flags::GetBool(const std::string& name, bool def) const {
   if (it == values_.end()) return def;
   if (it->second.empty()) return true;
   return it->second == "1" || it->second == "true" || it->second == "yes";
+}
+
+std::vector<std::string> Flags::Unknown(
+    std::initializer_list<std::string_view> known) const {
+  std::vector<std::string> unknown;
+  for (const auto& [name, value] : values_) {
+    if (std::find(known.begin(), known.end(), name) == known.end()) {
+      unknown.push_back(name);
+    }
+  }
+  return unknown;
 }
 
 }  // namespace timpp

@@ -4,8 +4,10 @@
 #define TIMPP_UTIL_FLAGS_H_
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace timpp {
@@ -30,6 +32,12 @@ class Flags {
 
   /// Positional (non-flag) arguments in order.
   const std::vector<std::string>& positional() const { return positional_; }
+
+  /// Names of the flags given on the command line that are not in
+  /// `known`, sorted. A program that rejects them stops a misspelt or
+  /// retired flag from being ignored silently.
+  std::vector<std::string> Unknown(
+      std::initializer_list<std::string_view> known) const;
 
  private:
   std::map<std::string, std::string> values_;

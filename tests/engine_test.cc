@@ -258,6 +258,28 @@ TEST(SamplingEngineTest, ChunkedFillHandlesAwkwardCounts) {
   }
 }
 
+TEST(SamplingEngineTest, RepeatedBatchesGrowTheCollectionGeometrically) {
+  // Every backing array must grow geometrically under repeated appends:
+  // an exact reserve per batch reallocates, and copies, the whole
+  // collection on every call, which makes a θ-set fill quadratic.
+  Graph g = MakeTwoCommunities(0.35f);
+  constexpr int kBatches = 64;
+  constexpr uint64_t kBatchSets = 8192;  // the engine's batch size
+  for (unsigned threads : {1u, 4u}) {
+    RRCollection rr(g.num_nodes());
+    SamplingEngine engine(g, IcSampling(5, threads));
+    int capacity_changes = 0;
+    for (int b = 0; b < kBatches; ++b) {
+      const size_t before = rr.MemoryBytes();
+      engine.SampleInto(&rr, kBatchSets);
+      if (rr.MemoryBytes() != before) ++capacity_changes;
+    }
+    EXPECT_EQ(rr.num_sets(), kBatches * kBatchSets);
+    // Three arrays, each doubling about log2(64) + 1 = 7 times.
+    EXPECT_LE(capacity_changes, 21) << "threads=" << threads;
+  }
+}
+
 TEST(RRCollectionTest, AppendRangeMatchesPerSetAdd) {
   Graph g = MakeTwoCommunities(0.35f);
   RRCollection source(g.num_nodes());
@@ -295,6 +317,31 @@ TEST(RRCollectionTest, AppendShardMatchesPerSetAdd) {
                shard.Width(static_cast<RRSetId>(id)));
   }
   ExpectSameCollections(manual, bulk);
+}
+
+TEST(RRCollectionTest, AppendPackedMatchesPerSetAdd) {
+  Graph g = MakeTwoCommunities(0.35f);
+  RRCollection source(g.num_nodes());
+  SamplingEngine engine(g, IcSampling(29, 1));
+  engine.SampleInto(&source, 60);
+
+  std::vector<NodeId> nodes;
+  std::vector<uint64_t> sizes;
+  std::vector<uint64_t> widths;
+  for (size_t id = 0; id < source.num_sets(); ++id) {
+    const auto set = source.Set(static_cast<RRSetId>(id));
+    nodes.insert(nodes.end(), set.begin(), set.end());
+    sizes.push_back(set.size());
+    widths.push_back(source.Width(static_cast<RRSetId>(id)));
+  }
+  // Appended after a per-set prefix, so the offsets must continue it.
+  RRCollection packed(g.num_nodes());
+  packed.Add(source.Set(0), source.Width(0));
+  packed.AppendPacked(nodes, sizes, widths);
+  RRCollection manual(g.num_nodes());
+  manual.Add(source.Set(0), source.Width(0));
+  manual.AppendShard(source);
+  ExpectSameCollections(manual, packed);
 }
 
 // --------------------------------------- solver thread-count determinism --

@@ -342,7 +342,7 @@ TEST(FaultServingTest, ConcurrentSubmitSurvivesInjectedKills) {
   }
 
   // Serialized local reference.
-  ServingEngine reference_engine(ServingOptions{.num_threads = 1});
+  ServingEngine reference_engine(ServingOptions{{.num_threads = 1}});
   ASSERT_TRUE(reference_engine.RegisterGraph("g", graph).ok());
   std::vector<ImResponse> reference;
   for (const ImRequest& request : requests) {
@@ -398,7 +398,7 @@ TEST(FaultServingTest, OverloadSheddingComposesWithBackendRetries) {
   request.epsilon = 0.4;
   request.seed = 2024;
 
-  ServingEngine reference_engine(ServingOptions{.num_threads = 1});
+  ServingEngine reference_engine(ServingOptions{{.num_threads = 1}});
   ASSERT_TRUE(reference_engine.RegisterGraph("g", graph).ok());
   const ImResponse expected = reference_engine.Solve(request);
   ASSERT_TRUE(expected.status.ok());

@@ -1,10 +1,8 @@
 // Tests of the out-of-core RR spill tier (rrset/rr_spill.h) and its
 // integration everywhere RR prefixes live:
 //   - RRSpillStore unit behaviour: chunk round-trips, append-only index
-//     discipline, coverage gaps, visit/read semantics, pinned-chunk LRU;
-//   - the sectioned (hot/probation) LRU: scan resistance (a streaming
-//     pass over 3x capacity cannot evict a re-touched hot chunk) and
-//     probation-before-hot eviction order;
+//     discipline, coverage gaps, visit/read semantics, one load per
+//     chunk reached (no chunk cache);
 //   - a damaged chunk file: VisitRange/ReadRange fail named at the chunk
 //     boundary, and streaming cover regenerates past it to the same seeds;
 //   - the solver sweep: TIM/TIM+/IMM/RIS at budgets {tiny, mid, ∞} ×
@@ -86,8 +84,7 @@ void ExpectEqualSets(const RRCollection& a, const RRCollection& b,
 }
 
 /// Full VisitRange pass asserting every delivered set is bit-identical to
-/// the in-memory original (the spill tier's core contract under every
-/// cache configuration).
+/// the in-memory original (the spill tier's core contract).
 void ExpectReplayMatches(RRSpillStore* store, const RRCollection& rr,
                          uint64_t count) {
   uint64_t stopped = 0, visited = 0;
@@ -204,112 +201,30 @@ TEST(RRSpillStoreTest, VisitRangeStopsAtGapAndHonorsFilter) {
   EXPECT_EQ(visited, 20u);
 }
 
-TEST(RRSpillStoreTest, PinnedChunkLruCountsHitsAndLoads) {
+TEST(RRSpillStoreTest, EveryVisitLoadsTheChunksItReaches) {
   const Graph g = MakeWcPowerLaw(60, 3, 23);
   RRCollection rr(g.num_nodes());
   std::vector<uint64_t> edges;
   Sample(g, 5, 64, &rr, &edges);
 
   TempSpillDir dir;
-  RRSpillOptions options = SpillOpts(dir, 16);  // 4 chunks
-  options.max_pinned_chunks = 2;
-  RRSpillStore store(g.num_nodes(), options);
+  RRSpillStore store(g.num_nodes(), SpillOpts(dir, 16));  // 4 chunks
   ASSERT_TRUE(store.SpillRange(rr, edges, 0, 64, 0).ok());
 
+  // First full pass: every chunk is a load, and the replay is exact.
+  ExpectReplayMatches(&store, rr, 64);
+  EXPECT_EQ(store.stats().chunk_loads, 4u);
+  // Re-visiting the last chunk reads it from disk again: there is no
+  // chunk cache.
   uint64_t stopped = 0;
-  // First full pass: every chunk is a load.
-  ASSERT_TRUE(
-      store.VisitRange(0, 64, nullptr,
-                       [](uint64_t, std::span<const NodeId>) {}, &stopped)
-          .ok());
-  const uint64_t loads_after_first = store.stats().chunk_loads;
-  EXPECT_GE(loads_after_first, 4u);
-  // Re-visiting only the last pinned window hits the LRU.
   ASSERT_TRUE(
       store.VisitRange(48, 16, nullptr,
                        [](uint64_t, std::span<const NodeId>) {}, &stopped)
           .ok());
-  EXPECT_EQ(store.stats().chunk_loads, loads_after_first);
-  EXPECT_GT(store.stats().chunk_hits, 0u);
+  EXPECT_EQ(stopped, 64u);
+  EXPECT_EQ(store.stats().chunk_loads, 5u);
+  EXPECT_EQ(store.stats().chunk_hits, 0u);
   EXPECT_EQ(store.stats().sets_read, 64u + 16u);
-}
-
-// ---- sectioned (hot/probation) LRU ------------------------------------
-
-/// Visits exactly one chunk-sized window, asserting success.
-void VisitWindow(RRSpillStore* store, uint64_t first, uint64_t count) {
-  uint64_t stopped = 0;
-  ASSERT_TRUE(store
-                  ->VisitRange(first, count, nullptr,
-                               [](uint64_t, std::span<const NodeId>) {},
-                               &stopped)
-                  .ok());
-  ASSERT_EQ(stopped, first + count);
-}
-
-TEST(RRSpillStoreTest, SlruScanResistanceKeepsHotChunksResident) {
-  const Graph g = MakeWcPowerLaw(60, 3, 41);
-  RRCollection rr(g.num_nodes());
-  std::vector<uint64_t> edges;
-  Sample(g, 5, 96, &rr, &edges);
-
-  TempSpillDir dir;
-  RRSpillOptions options = SpillOpts(dir, 8);  // 12 chunks
-  options.max_pinned_chunks = 4;               // hot cap 2, probation 2+
-  RRSpillStore store(g.num_nodes(), options);
-  ASSERT_TRUE(store.SpillRange(rr, edges, 0, 96, 0).ok());
-
-  // Touch chunk 0 twice: first touch lands in probation, the re-touch
-  // promotes it into the hot section.
-  VisitWindow(&store, 0, 8);
-  VisitWindow(&store, 0, 8);
-  ASSERT_EQ(store.stats().chunk_loads, 1u);
-  ASSERT_EQ(store.stats().probation_hits, 1u);
-
-  // One full streaming pass over all 12 chunks — 3× the pinned capacity.
-  // Every new chunk is a first touch, so the scan may only churn
-  // probation: the hot chunk 0 must survive the entire pass.
-  ExpectReplayMatches(&store, rr, 96);
-  const uint64_t loads_after_scan = store.stats().chunk_loads;
-  EXPECT_EQ(loads_after_scan, 12u) << "chunk 0 from hot, 11 fresh loads";
-  EXPECT_GE(store.stats().hot_hits, 1u) << "the scan itself hit hot";
-
-  // And it is still resident afterwards.
-  VisitWindow(&store, 0, 8);
-  EXPECT_EQ(store.stats().chunk_loads, loads_after_scan)
-      << "a 3x-capacity scan must not evict a re-touched hot chunk";
-  EXPECT_GE(store.stats().hot_hits, 2u);
-  EXPECT_EQ(store.stats().hot_hits + store.stats().probation_hits,
-            store.stats().chunk_hits);
-}
-
-TEST(RRSpillStoreTest, SlruEvictsProbationBeforeHot) {
-  const Graph g = MakeWcPowerLaw(60, 3, 43);
-  RRCollection rr(g.num_nodes());
-  std::vector<uint64_t> edges;
-  Sample(g, 5, 24, &rr, &edges);
-
-  TempSpillDir dir;
-  RRSpillOptions options = SpillOpts(dir, 8);  // 3 chunks
-  options.max_pinned_chunks = 2;               // hot cap 1, probation 1
-  RRSpillStore store(g.num_nodes(), options);
-  ASSERT_TRUE(store.SpillRange(rr, edges, 0, 24, 0).ok());
-
-  VisitWindow(&store, 0, 8);  // chunk 0 -> probation
-  VisitWindow(&store, 0, 8);  // chunk 0 -> hot
-  VisitWindow(&store, 8, 8);  // chunk 1 -> probation
-  ASSERT_EQ(store.stats().chunk_loads, 2u);
-  // Chunk 2 displaces the probation LRU (chunk 1), NOT the older hot
-  // chunk 0 — eviction drains probation first.
-  VisitWindow(&store, 16, 8);
-  ASSERT_EQ(store.stats().chunk_loads, 3u);
-  VisitWindow(&store, 0, 8);   // hot chunk survived
-  VisitWindow(&store, 16, 8);  // newest probation entry survived
-  EXPECT_EQ(store.stats().chunk_loads, 3u);
-  VisitWindow(&store, 8, 8);  // the evicted probation chunk reloads
-  EXPECT_EQ(store.stats().chunk_loads, 4u);
-  EXPECT_EQ(store.stats().hot_hits + store.stats().probation_hits,
-            store.stats().chunk_hits);
 }
 
 TEST(RRSpillStoreTest, EmptyEdgeSpanRecordsZeros) {
@@ -492,8 +407,8 @@ TEST(ServingSpillTest, EvictedStreamPreloadsFromDiskBitIdentically) {
   const Graph graph = MakeWcPowerLaw(150, 3, 31);
   TempSpillDir dir;
 
-  GraphContext context{Graph(graph)};
-  context.set_spill_dir(dir.path());
+  GraphContext context(Graph(graph),
+                       ExecutionOptions{.spill_dir = dir.path()});
   StreamKey key;
   key.seed = 99;
 

@@ -64,7 +64,7 @@ std::vector<ImRequest> ConcurrencyBatch(const std::string& graph) {
 std::vector<ImResponse> SerialReference(const Graph& graph,
                                         const std::vector<ImRequest>& requests,
                                         unsigned num_threads) {
-  ServingEngine engine(ServingOptions{.num_threads = num_threads});
+  ServingEngine engine(ServingOptions{{.num_threads = num_threads}});
   EXPECT_TRUE(engine.RegisterGraph(requests.front().graph, graph).ok());
   std::vector<ImResponse> responses;
   responses.reserve(requests.size());
@@ -168,7 +168,7 @@ TEST(ConcurrentServingTest, ConcurrentSolveCallersMatchSerial) {
   const std::vector<ImResponse> reference =
       SerialReference(g, requests, /*num_threads=*/1);
 
-  ServingEngine engine(ServingOptions{.num_threads = 1});
+  ServingEngine engine(ServingOptions{{.num_threads = 1}});
   ASSERT_TRUE(engine.RegisterGraph("g", g).ok());
   std::vector<ImResponse> responses(requests.size());
   std::atomic<size_t> next{0};
@@ -379,7 +379,7 @@ TEST(ConcurrentServingTest, EvictionUnderLiveReadersServesByteIdenticalSets) {
     engine.SampleInto(&reference.back(), 400);
   }
 
-  GraphContext context(Graph(g), 1);
+  GraphContext context{Graph(g)};
   // A 1-byte budget: every enforcement pass evicts whatever is resident,
   // maximizing read-vs-eviction interleavings.
   context.set_cache_budget_bytes(1);

@@ -86,7 +86,7 @@ std::vector<ImRequest> MixedBatch(const std::string& graph) {
 
 TEST(ServingEngineTest, BatchIsBitIdenticalToStandaloneAndSamplesLess) {
   Graph g = MakeWcPowerLaw(250, 4, 77);
-  ServingEngine serving(ServingOptions{.num_threads = 2});
+  ServingEngine serving(ServingOptions{{.num_threads = 2}});
   ASSERT_TRUE(serving.RegisterGraph("g", g).ok());
 
   const std::vector<ImRequest> requests = MixedBatch("g");
@@ -139,7 +139,7 @@ TEST(ServingEngineTest, BatchIsBitIdenticalToStandaloneAndSamplesLess) {
 
 TEST(ServingEngineTest, ExactRepeatSamplesNothingNew) {
   Graph g = MakeTwoCommunities(0.35f);
-  ServingEngine serving(ServingOptions{.num_threads = 1});
+  ServingEngine serving(ServingOptions{{.num_threads = 1}});
   ASSERT_TRUE(serving.RegisterGraph("g", g).ok());
 
   ImRequest request;
@@ -173,7 +173,7 @@ TEST(ServingEngineTest, BatchDeterministicAcrossThreadCounts) {
 
   std::vector<ImResponse> reference;
   for (unsigned threads : {1u, 2u, 8u}) {
-    ServingEngine serving(ServingOptions{.num_threads = threads});
+    ServingEngine serving(ServingOptions{{.num_threads = threads}});
     ASSERT_TRUE(serving.RegisterGraph("g", g).ok());
     std::vector<ImResponse> responses = serving.SolveBatch(requests);
     if (threads == 1) {
@@ -207,11 +207,11 @@ TEST(ServingEngineTest, SubmissionPatternDoesNotChangeResults) {
   Graph g = MakeTwoCommunities(0.35f);
   const std::vector<ImRequest> requests = MixedBatch("g");
 
-  ServingEngine batched(ServingOptions{.num_threads = 2});
+  ServingEngine batched(ServingOptions{{.num_threads = 2}});
   ASSERT_TRUE(batched.RegisterGraph("g", g).ok());
   const std::vector<ImResponse> batch = batched.SolveBatch(requests);
 
-  ServingEngine single(ServingOptions{.num_threads = 2});
+  ServingEngine single(ServingOptions{{.num_threads = 2}});
   ASSERT_TRUE(single.RegisterGraph("g", g).ok());
   for (size_t i = 0; i < requests.size(); ++i) {
     const ImResponse response = single.Solve(requests[i]);
@@ -226,7 +226,7 @@ TEST(ServingEngineTest, SubmissionPatternDoesNotChangeResults) {
 
 TEST(ServingEngineTest, PhaseCacheMissesWhenSamplerModeOrModelChanges) {
   Graph g = MakeWcPowerLaw(200, 4, 55);
-  ServingEngine serving(ServingOptions{.num_threads = 2});
+  ServingEngine serving(ServingOptions{{.num_threads = 2}});
   ASSERT_TRUE(serving.RegisterGraph("g", g).ok());
 
   ImRequest request;
@@ -270,7 +270,7 @@ TEST(ServingEngineTest, PhaseCacheMissesWhenSamplerModeOrModelChanges) {
 
 TEST(ServingEngineTest, BudgetedRequestRunsStandaloneButMatches) {
   Graph g = MakeWcPowerLaw(200, 4, 13);
-  ServingEngine serving(ServingOptions{.num_threads = 2});
+  ServingEngine serving(ServingOptions{{.num_threads = 2}});
   ASSERT_TRUE(serving.RegisterGraph("g", g).ok());
 
   ImRequest request;
@@ -333,7 +333,7 @@ TEST(ServingEngineTest, UnknownGraphAndAlgoAreNotFound) {
 TEST(ServingEngineTest, MultiGraphBatchKeepsRequestOrder) {
   Graph a = MakeTwoCommunities(0.35f);
   Graph b = MakeWcPowerLaw(150, 3, 8);
-  ServingEngine serving(ServingOptions{.num_threads = 2});
+  ServingEngine serving(ServingOptions{{.num_threads = 2}});
   ASSERT_TRUE(serving.RegisterGraph("a", a).ok());
   ASSERT_TRUE(serving.RegisterGraph("b", b).ok());
 
@@ -401,7 +401,7 @@ TEST(ServingEngineTest, ByteCappedContextReturnsBitIdenticalResults) {
   Graph g2 = MakeWcPowerLaw(250, 4, 77);
 
   // Uncapped reference run.
-  ServingEngine reference(ServingOptions{.num_threads = 2});
+  ServingEngine reference(ServingOptions{{.num_threads = 2}});
   ASSERT_TRUE(reference.RegisterGraph("g", std::move(g)).ok());
   // A batch whose requests use two different seeds = two streams, so LRU
   // eviction across streams has something to choose between.
@@ -442,7 +442,7 @@ TEST(ServingEngineTest, ByteCappedContextReturnsBitIdenticalResults) {
 }
 
 TEST(GraphContextTest, LruEvictsTheStaleStreamFirst) {
-  GraphContext context(MakeTwoCommunities(0.35f), 1);
+  GraphContext context(MakeTwoCommunities(0.35f));
 
   StreamKey old_key;
   old_key.seed = 1;

@@ -394,6 +394,18 @@ TEST(FlagsTest, PositionalArguments) {
   EXPECT_EQ(flags.positional()[1], "out.txt");
 }
 
+TEST(FlagsTest, UnknownNamesFlagsOutsideTheKnownList) {
+  std::vector<std::string> args = {"prog", "graph.txt", "--k=3",
+                                    "--spill-readahead=2", "--verbose",
+                                    "--algo", "imm"};
+  auto argv = MakeArgv(args);
+  Flags flags(static_cast<int>(argv.size()), argv.data());
+  EXPECT_EQ(flags.Unknown({"k", "algo"}),
+            (std::vector<std::string>{"spill-readahead", "verbose"}));
+  EXPECT_TRUE(flags.Unknown({"k", "algo", "spill-readahead", "verbose"})
+                  .empty());
+}
+
 // ----------------------------------------------------------------- Timer --
 
 TEST(TimerTest, ElapsedIsNonNegativeAndMonotonic) {
