@@ -73,10 +73,8 @@ Status RunRis(const Graph& graph, const RisOptions& options, int k,
     sampling.model = options.model;
     sampling.custom_model = options.custom_model;
     sampling.sampler_mode = options.sampler_mode;
-    sampling.num_threads = options.num_threads;
-    sampling.pin_threads = options.pin_threads;
     sampling.seed = options.seed;
-    sampling.backend = options.sample_backend;
+    ApplyExecution(options, &sampling);
     local_engine.emplace(graph, sampling);
     local_source.emplace(*local_engine);
     source = &*local_source;

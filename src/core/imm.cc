@@ -14,6 +14,7 @@
 #include "engine/sampling_engine.h"
 #include "rrset/rr_collection.h"
 #include "rrset/rr_spill.h"
+#include "rrset/rr_view.h"
 #include "util/alias_table.h"
 #include "util/math.h"
 #include "util/timer.h"
@@ -149,13 +150,11 @@ Status RunImm(const Graph& graph, const ImmOptions& options,
     sampling.custom_model = options.custom_model;
     sampling.max_hops = options.max_hops;
     sampling.sampler_mode = options.sampler_mode;
-    sampling.num_threads = options.num_threads;
-    sampling.pin_threads = options.pin_threads;
     sampling.seed = options.seed;
     if (options.node_weights != nullptr) {
       sampling.root_distribution = &root_dist;
     }
-    sampling.backend = options.sample_backend;
+    ApplyExecution(options, &sampling);
     local_engine.emplace(graph, sampling);
     local_source.emplace(*local_engine);
     source = &*local_source;
@@ -219,32 +218,46 @@ Status RunImm(const Graph& graph, const ImmOptions& options,
       const double x_i = n / std::pow(2.0, i);
       const uint64_t theta_i = static_cast<uint64_t>(
           std::max(1.0, std::ceil(stats.lambda_prime / x_i)));
-      GrowTo(*source, stream_start, theta_i, &sampling_rr,
-             &sampling_budget_hit, spill, &sampling_edges, &sets_spilled);
-      // A dead sample backend (worker process crash) means the grown
-      // prefix is short, not budget-truncated — fail the run.
-      TIMPP_RETURN_NOT_OK(source->engine().status());
-      // Keep the stream aligned with a budget-off run: the sets the cache
-      // could not retain still occupy indices [num_sets, θ_i) and are
-      // regenerated from them below.
-      source->Seek(stream_start + theta_i);
       sampling_target = theta_i;
       CoverResult cover;
-      if (!sampling_budget_hit &&
-          (budget == 0 || IndexedDataBytesFitBudget(sampling_rr, budget))) {
-        sampling_rr.BuildIndex();
-        cover = GreedyMaxCover(sampling_rr, options.k);
+      if (budget == 0) {
+        // Greedy over the indexed window [stream_start, θ_i): the source
+        // tops up and re-indexes `sampling_rr`, or views its own chunks.
+        RRView view;
+        source->FetchView(stream_start,
+                          stream_start + theta_i - source->position(),
+                          &sampling_rr, &view);
+        // A dead sample backend (worker process crash) means the window
+        // is short — fail the run.
+        TIMPP_RETURN_NOT_OK(source->engine().status());
+        cover = GreedyMaxCover(view, options.k);
       } else {
-        // Budgeted greedy: retained prefix + per-round regeneration. Seeds
-        // and covered_fraction are bit-identical to the indexed path, so LB
-        // — and with it every downstream θ — matches the budget-off run.
-        stats.hit_memory_budget = true;
-        StreamingCoverResult streamed =
-            StreamingGreedyMaxCover(source->engine(), sampling_rr,
-                                    stream_start, theta_i, options.k, spill);
-        stats.regeneration_passes += streamed.regeneration_passes;
-        stats.sets_spill_read += streamed.sets_spill_read;
-        cover = std::move(streamed.cover);
+        GrowTo(*source, stream_start, theta_i, &sampling_rr,
+               &sampling_budget_hit, spill, &sampling_edges, &sets_spilled);
+        // A dead sample backend means the grown prefix is short, not
+        // budget-truncated — fail the run.
+        TIMPP_RETURN_NOT_OK(source->engine().status());
+        // Keep the stream aligned with a budget-off run: the sets the
+        // cache could not retain still occupy indices [num_sets, θ_i) and
+        // are regenerated from them below.
+        source->Seek(stream_start + theta_i);
+        if (!sampling_budget_hit &&
+            IndexedDataBytesFitBudget(sampling_rr, budget)) {
+          sampling_rr.BuildIndex();
+          cover = GreedyMaxCover(sampling_rr, options.k);
+        } else {
+          // Budgeted greedy: retained prefix + per-round regeneration.
+          // Seeds and covered_fraction are bit-identical to the indexed
+          // path, so LB — and with it every downstream θ — matches the
+          // budget-off run.
+          stats.hit_memory_budget = true;
+          StreamingCoverResult streamed = StreamingGreedyMaxCover(
+              source->engine(), sampling_rr, stream_start, theta_i,
+              options.k, spill);
+          stats.regeneration_passes += streamed.regeneration_passes;
+          stats.sets_spill_read += streamed.sets_spill_read;
+          cover = std::move(streamed.cover);
+        }
       }
       stats.sampling_iterations = i;
       if (n * cover.covered_fraction >= (1.0 + eps_prime) * x_i) {
@@ -305,41 +318,54 @@ Status RunImm(const Graph& graph, const ImmOptions& options,
     std::vector<uint64_t>().swap(sampling_edges);
     sel_first = source->position();
   }
-  // Grow the cache to hold the whole selection range [sel_first,
-  // sel_first + sel_total) — or as much of its prefix as the budget
-  // allows (the growth freezes once the budget latched, keeping the cache
-  // a contiguous stream prefix; with a spill store the rest of the range
-  // goes to disk).
-  GrowTo(*source, sel_first, sel_total, cache, &sel_budget_hit, spill,
-         cache_edges, &sets_spilled);
-  TIMPP_RETURN_NOT_OK(source->engine().status());
-  source->Seek(sel_first + sel_total);
-  // The reuse path may carry the sampling phase's index over unchanged;
-  // drop it so the budget-fit check below prices one index, not two.
-  cache->DropIndex();
-
   CoverResult cover;
-  // Pre-index capture: the stat compares across budget settings.
-  stats.rr_data_bytes = cache->DataBytes();
-  if (!sel_budget_hit &&
-      (budget == 0 || IndexedDataBytesFitBudget(*cache, budget))) {
-    cache->BuildIndex();
+  if (budget == 0) {
+    // Greedy over the indexed window [sel_first, sel_first + sel_total):
+    // the source fills and indexes `cache` (topping up the sampling sets
+    // under reuse_samples), or views its own chunks.
+    RRView view;
+    source->FetchView(sel_first, sel_first + sel_total - source->position(),
+                      cache, &view);
+    TIMPP_RETURN_NOT_OK(source->engine().status());
+    stats.rr_data_bytes = view.DataBytes();
     stats.rr_memory_bytes = cache->MemoryBytes();
-    cover = GreedyMaxCover(*cache, options.k);
+    stats.rr_sets_retained = view.num_sets();
+    cover = GreedyMaxCover(view, options.k);
   } else {
-    stats.hit_memory_budget = true;
-    stats.rr_memory_bytes = cache->MemoryBytes();
-    StreamingCoverResult streamed =
-        StreamingGreedyMaxCover(source->engine(), *cache, sel_first,
-                                sel_total, options.k, spill);
-    stats.regeneration_passes += streamed.regeneration_passes;
-    stats.sets_spill_read += streamed.sets_spill_read;
-    cover = std::move(streamed.cover);
+    // Grow the cache to hold the whole selection range [sel_first,
+    // sel_first + sel_total) — or as much of its prefix as the budget
+    // allows (the growth freezes once the budget latched, keeping the
+    // cache a contiguous stream prefix; with a spill store the rest of the
+    // range goes to disk).
+    GrowTo(*source, sel_first, sel_total, cache, &sel_budget_hit, spill,
+           cache_edges, &sets_spilled);
+    TIMPP_RETURN_NOT_OK(source->engine().status());
+    source->Seek(sel_first + sel_total);
+    // The reuse path may carry the sampling phase's index over unchanged;
+    // drop it so the budget-fit check below prices one index, not two.
+    cache->DropIndex();
+
+    // Pre-index capture: the stat compares across budget settings.
+    stats.rr_data_bytes = cache->DataBytes();
+    if (!sel_budget_hit && IndexedDataBytesFitBudget(*cache, budget)) {
+      cache->BuildIndex();
+      stats.rr_memory_bytes = cache->MemoryBytes();
+      cover = GreedyMaxCover(*cache, options.k);
+    } else {
+      stats.hit_memory_budget = true;
+      stats.rr_memory_bytes = cache->MemoryBytes();
+      StreamingCoverResult streamed =
+          StreamingGreedyMaxCover(source->engine(), *cache, sel_first,
+                                  sel_total, options.k, spill);
+      stats.regeneration_passes += streamed.regeneration_passes;
+      stats.sets_spill_read += streamed.sets_spill_read;
+      cover = std::move(streamed.cover);
+    }
+    stats.rr_sets_retained = cache->num_sets();
   }
   // The streaming branch regenerates through the engine; a backend that
   // died there must fail the run, not return partial-coverage seeds.
   TIMPP_RETURN_NOT_OK(source->engine().status());
-  stats.rr_sets_retained = cache->num_sets();
   stats.rr_sets_spilled = sets_spilled;
   if (spill != nullptr) {
     stats.spill = spill->stats();

@@ -95,6 +95,8 @@ struct ImmStats {
   double seconds_sampling = 0.0;
   double seconds_selection = 0.0;
   double seconds_total = 0.0;
+  /// Selection-phase RR bytes this run allocated for itself (~0 when a
+  /// served run views the shared cache's chunks; see TimStats).
   size_t rr_memory_bytes = 0;
   /// Filled bytes of the selection collection's raw set storage
   /// (DataBytes before any index build — what the budget caps, comparable

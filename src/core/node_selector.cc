@@ -14,6 +14,27 @@ NodeSelection SelectNodes(SampleSource& source, int k, uint64_t theta,
 
   Timer timer;
   const uint64_t first = source.position();
+  if (memory_budget_bytes == 0) {
+    // The classic indexed greedy, over whatever indexed window the source
+    // offers: a private collection it fills and indexes, or the shared
+    // cache's chunks in place. Same sets in the same order either way.
+    RRCollection storage(source.graph().num_nodes());
+    RRView view;
+    const SampleBatch batch = source.FetchView(first, theta, &storage, &view);
+    source.Seek(first + theta);
+    result.edges_examined = batch.edges_examined;
+    result.seconds_sampling = timer.ElapsedSeconds();
+    timer.Reset();
+    result.rr_data_bytes = view.DataBytes();
+    result.rr_sets_retained = view.num_sets();
+    result.rr_memory_bytes = storage.MemoryBytes();
+    CoverResult cover = GreedyMaxCover(view, k);
+    result.seeds = std::move(cover.seeds);
+    result.covered_fraction = cover.covered_fraction;
+    result.seconds_coverage = timer.ElapsedSeconds();
+    return result;
+  }
+
   RRCollection rr(source.graph().num_nodes());
   rr.set_memory_budget(memory_budget_bytes);
   std::vector<uint64_t> rr_edges;
@@ -57,11 +78,10 @@ NodeSelection SelectNodes(SampleSource& source, int k, uint64_t theta,
   // (raw set storage) whether or not an inverted index gets built.
   result.rr_data_bytes = rr.DataBytes();
   result.rr_sets_retained = rr.num_sets();
-  if (memory_budget_bytes == 0 ||
-      (rr.num_sets() == theta && IndexedDataBytesFitBudget(rr, memory_budget_bytes))) {
+  if (rr.num_sets() == theta &&
+      IndexedDataBytesFitBudget(rr, memory_budget_bytes)) {
     // Everything (inverted index included) fits: the classic indexed
-    // greedy. This is the unconditional budget-off path, bit-identical to
-    // the pre-budget code.
+    // greedy, bit-identical to the budget-off path.
     rr.BuildIndex();
     result.rr_memory_bytes = rr.MemoryBytes();
     CoverResult cover = GreedyMaxCover(rr, k);

@@ -34,7 +34,9 @@ struct NodeSelection {
   double covered_fraction = 0.0;
   /// θ — number of RR sets sampled.
   uint64_t theta = 0;
-  /// Peak heap bytes of the RR collection (Figure 12's metric).
+  /// Peak heap bytes of the RR collection this selection allocated for
+  /// itself, index included (Figure 12's metric). A selection served from
+  /// the shared cache's chunks allocates none, and reports ~0.
   size_t rr_memory_bytes = 0;
   /// Filled bytes of retained raw set storage (RRCollection::DataBytes
   /// before any index build) — the quantity a memory budget caps, and
@@ -54,7 +56,8 @@ struct NodeSelection {
   /// (each replayed set is a regeneration that didn't happen).
   uint64_t rr_sets_spilled = 0;
   uint64_t sets_spill_read = 0;
-  /// Wall-clock split between the sampling and coverage halves.
+  /// Wall-clock split between the sampling and coverage halves (an index
+  /// build belongs to the sampling half: it is part of the view fetch).
   double seconds_sampling = 0.0;
   double seconds_coverage = 0.0;
 };

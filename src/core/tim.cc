@@ -79,10 +79,8 @@ Status TimSolver::Run(const TimOptions& options, const SolveContext& context,
     sampling.custom_model = options.custom_model;
     sampling.max_hops = options.max_hops;
     sampling.sampler_mode = options.sampler_mode;
-    sampling.num_threads = options.num_threads;
-    sampling.pin_threads = options.pin_threads;
     sampling.seed = options.seed;
-    sampling.backend = options.sample_backend;
+    ApplyExecution(options, &sampling);
     local_engine.emplace(graph_, sampling);
     local_source.emplace(*local_engine);
     source = &*local_source;

@@ -88,7 +88,10 @@ struct TimStats {
   /// n·F_R(S) — the unbiased spread estimate of the returned seeds on the
   /// node-selection RR sets (Corollary 1).
   double estimated_spread = 0.0;
-  /// Peak RR-collection bytes during node selection (Figure 12).
+  /// Peak RR-collection bytes this run allocated for itself during node
+  /// selection (Figure 12). A served run whose selection views the shared
+  /// cache's chunks allocates none and reports ~0; the shared bytes are
+  /// GraphContext::SharedMemoryBytes().
   size_t rr_memory_bytes = 0;
   /// Filled bytes of retained raw set storage (DataBytes before any index
   /// build — what a memory budget caps; comparable between budgeted and

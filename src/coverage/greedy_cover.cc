@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <queue>
+#include <span>
 
 #include "util/bit_vector.h"
 
@@ -24,24 +25,73 @@ uint64_t SelectNode(const RRCollection& rr, NodeId v, BitVector* dead,
   return marginal;
 }
 
+// SelectNode over a view. Set j of slice s sits at view position
+// bases[s] + (j - lo); the slice's share of v's postings is cut out of the
+// chunk's ascending list by two lower_bounds.
+uint64_t SelectNode(const RRView& view, const std::vector<size_t>& bases,
+                    NodeId v, BitVector* dead, std::vector<uint64_t>* counts) {
+  uint64_t marginal = 0;
+  const std::vector<RRSlice>& slices = view.slices();
+  for (size_t s = 0; s < slices.size(); ++s) {
+    const RRSlice& slice = slices[s];
+    const std::span<const RRSetId> ids = slice.sets->SetsContaining(v);
+    const auto begin = std::lower_bound(ids.begin(), ids.end(), slice.lo);
+    const auto end = std::lower_bound(begin, ids.end(), slice.hi);
+    for (auto it = begin; it != end; ++it) {
+      const size_t pos = bases[s] + (*it - slice.lo);
+      if (dead->Get(pos)) continue;
+      dead->Set(pos);
+      ++marginal;
+      for (NodeId u : slice.sets->Set(*it)) --(*counts)[u];
+    }
+  }
+  return marginal;
+}
+
 }  // namespace
 
+CoverResult GreedyMaxCover(const RRView& view, int k) {
+  return GreedyMaxCoverWithBucketCap(view, k, uint64_t{1} << 20);
+}
+
 CoverResult GreedyMaxCover(const RRCollection& rr, int k) {
-  return GreedyMaxCoverWithBucketCap(rr, k, uint64_t{1} << 20);
+  return GreedyMaxCover(RRView(rr), k);
 }
 
 CoverResult GreedyMaxCoverWithBucketCap(const RRCollection& rr, int k,
                                         uint64_t max_buckets) {
-  const NodeId n = rr.num_graph_nodes();
+  return GreedyMaxCoverWithBucketCap(RRView(rr), k, max_buckets);
+}
+
+CoverResult GreedyMaxCoverWithBucketCap(const RRView& view, int k,
+                                        uint64_t max_buckets) {
+  const NodeId n = view.num_graph_nodes();
   CoverResult result;
   if (k <= 0 || n == 0) return result;
 
-  std::vector<uint64_t> counts(n);
-  uint64_t max_count = 0;
-  for (NodeId v = 0; v < n; ++v) {
-    counts[v] = rr.CoverageCount(v);
-    max_count = std::max(max_count, counts[v]);
+  // Initial coverage counts. A whole chunk contributes its postings'
+  // lengths; a chunk cut by the window counts the members of its sets in
+  // range instead.
+  std::vector<uint64_t> counts(n, 0);
+  std::vector<size_t> bases;
+  bases.reserve(view.slices().size());
+  size_t base = 0;
+  for (const RRSlice& slice : view.slices()) {
+    bases.push_back(base);
+    base += slice.hi - slice.lo;
+    const RRCollection& chunk = *slice.sets;
+    if (slice.lo == 0 && slice.hi == chunk.num_sets()) {
+      for (size_t i = 0; i < chunk.num_indexed_nodes(); ++i) {
+        counts[chunk.IndexedNode(i)] += chunk.Postings(i).size();
+      }
+    } else {
+      for (size_t id = slice.lo; id < slice.hi; ++id) {
+        for (NodeId u : chunk.Set(static_cast<RRSetId>(id))) ++counts[u];
+      }
+    }
   }
+  uint64_t max_count = 0;
+  for (NodeId v = 0; v < n; ++v) max_count = std::max(max_count, counts[v]);
 
   // Bucket queue with lazy decrease: every unselected node sits in exactly
   // one bucket, possibly higher than its current count (counts only fall).
@@ -67,7 +117,7 @@ CoverResult GreedyMaxCoverWithBucketCap(const RRCollection& rr, int k,
   std::vector<std::vector<NodeId>> buckets(bucket_of(max_count) + 1);
   for (NodeId v = 0; v < n; ++v) buckets[bucket_of(counts[v])].push_back(v);
 
-  BitVector dead(rr.num_sets());
+  BitVector dead(view.num_sets());
   uint64_t cursor = bucket_of(max_count);
 
   while (static_cast<int>(result.seeds.size()) < k) {
@@ -110,16 +160,16 @@ CoverResult GreedyMaxCoverWithBucketCap(const RRCollection& rr, int k,
     bucket[best] = bucket.back();
     bucket.pop_back();
 
-    const uint64_t marginal = SelectNode(rr, v, &dead, &counts);
+    const uint64_t marginal = SelectNode(view, bases, v, &dead, &counts);
     result.seeds.push_back(v);
     result.marginal_coverage.push_back(marginal);
     result.covered_sets += marginal;
   }
 
   result.covered_fraction =
-      rr.num_sets() > 0 ? static_cast<double>(result.covered_sets) /
-                              static_cast<double>(rr.num_sets())
-                        : 0.0;
+      view.num_sets() > 0 ? static_cast<double>(result.covered_sets) /
+                                static_cast<double>(view.num_sets())
+                          : 0.0;
   return result;
 }
 

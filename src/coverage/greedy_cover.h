@@ -1,7 +1,12 @@
-// Greedy maximum coverage over an RRCollection — the selection step shared
-// by Algorithm 1 (node selection), Algorithm 3 (KPT refinement) and Borgs
-// et al.'s RIS. The greedy algorithm is (1-1/e)-approximate for maximum
+// Greedy maximum coverage over RR sets — the selection step shared by
+// Algorithm 1 (node selection), Algorithm 3 (KPT refinement) and Borgs et
+// al.'s RIS. The greedy algorithm is (1-1/e)-approximate for maximum
 // coverage (Vazirani; cited as [29] in the paper).
+//
+// There is one implementation, over an RRView: a batch solve passes its
+// own indexed collection as a one-slice view, a served request passes
+// slices of the shared cache's indexed chunks. Either way the sets are the
+// same and in the same order, so the seeds are too.
 #ifndef TIMPP_COVERAGE_GREEDY_COVER_H_
 #define TIMPP_COVERAGE_GREEDY_COVER_H_
 
@@ -9,6 +14,7 @@
 #include <vector>
 
 #include "rrset/rr_collection.h"
+#include "rrset/rr_view.h"
 #include "util/types.h"
 
 namespace timpp {
@@ -34,12 +40,20 @@ struct CoverResult {
 /// O(n log n + stale re-pushes). When max_count would make one bucket per
 /// count allocate too much, buckets coarsen to count ranges (the in-bucket
 /// scan stays exact). Ties break by smaller node id; bit-identical to
-/// HeapGreedyMaxCover. Requires rr.index_built().
+/// HeapGreedyMaxCover. Every collection the view slices must be indexed;
+/// set positions, dead flags and the covered fraction refer to the
+/// window, not to the chunks behind it.
+CoverResult GreedyMaxCover(const RRView& view, int k);
+
+/// GreedyMaxCover over the whole of `rr` (a one-slice view). Requires
+/// rr.index_built().
 CoverResult GreedyMaxCover(const RRCollection& rr, int k);
 
 /// GreedyMaxCover with an explicit cap on the bucket-array size (the
 /// default is 2^20). Exposed so tests can force the coarse-bucket path on
 /// small collections; results are cap-independent.
+CoverResult GreedyMaxCoverWithBucketCap(const RRView& view, int k,
+                                        uint64_t max_buckets);
 CoverResult GreedyMaxCoverWithBucketCap(const RRCollection& rr, int k,
                                         uint64_t max_buckets);
 

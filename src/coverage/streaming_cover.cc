@@ -24,9 +24,14 @@ size_t MaxPrefixUnderDataBudget(const RRCollection& rr, size_t budget_bytes) {
 }
 
 bool IndexedDataBytesFitBudget(const RRCollection& rr, size_t budget_bytes) {
+  // Upper bound on the postings: at most min(n, total_nodes) indexed
+  // nodes, each with a node id and an offset, one end offset, and one set
+  // id per member.
+  const size_t indexed_nodes = std::min<size_t>(rr.num_graph_nodes(),
+                                                rr.total_nodes());
   const size_t index_bytes =
-      (static_cast<size_t>(rr.num_graph_nodes()) + 1) * sizeof(EdgeIndex) +
-      rr.total_nodes() * sizeof(RRSetId);
+      indexed_nodes * (sizeof(NodeId) + sizeof(EdgeIndex)) +
+      sizeof(EdgeIndex) + rr.total_nodes() * sizeof(RRSetId);
   return rr.DataBytes() + index_bytes <= budget_bytes;
 }
 

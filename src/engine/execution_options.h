@@ -17,6 +17,7 @@
 #include <utility>
 
 #include "engine/sample_backend.h"
+#include "engine/sampling_engine.h"
 #include "rrset/rr_spill.h"
 #include "util/types.h"
 
@@ -41,6 +42,16 @@ struct ExecutionOptions {
   /// in unique per-store subdirectories, deleted when the store dies.
   std::string spill_dir;
 };
+
+/// Copies the settings a sampling engine takes from `execution` — threads,
+/// pinning and backend — into `config`. The stream's own facets (model,
+/// seed, hop bound, ...) are left as they are.
+inline void ApplyExecution(const ExecutionOptions& execution,
+                           SamplingConfig* config) {
+  config->num_threads = execution.num_threads;
+  config->pin_threads = execution.pin_threads;
+  config->backend = execution.sample_backend;
+}
 
 /// The spill store of one budgeted solve: null unless a memory budget can
 /// trip and a spill dir is set. Its chunk directory dies with the store.

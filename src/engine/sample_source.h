@@ -12,6 +12,13 @@
 // phases) are written against this interface, so one implementation of
 // Algorithm 1/2/3 serves both the standalone and the batch/serving paths
 // with bit-identical output.
+//
+// Two reads exist. Fetch copies sets into a collection the caller owns.
+// FetchView hands the unbudgeted greedy an indexed, read-only window
+// instead: a standalone source fills, indexes and views the caller's
+// collection, while the serving cache returns slices of its own chunks,
+// indexed once when they were published — no per-request copy and no
+// per-request index build.
 #ifndef TIMPP_ENGINE_SAMPLE_SOURCE_H_
 #define TIMPP_ENGINE_SAMPLE_SOURCE_H_
 
@@ -21,6 +28,7 @@
 #include "engine/sampling_engine.h"
 #include "graph/graph.h"
 #include "rrset/rr_collection.h"
+#include "rrset/rr_view.h"
 
 namespace timpp {
 
@@ -69,6 +77,20 @@ class SampleSource {
   /// index as a standalone engine run would.
   virtual SampleBatch FetchUntilCost(RRCollection* out, double cost_threshold,
                                      uint64_t max_sets) = 0;
+
+  /// Indexed read of a window: fetches the next `count` sets as Fetch
+  /// does, then points `*view` at the stream sets [first, position()),
+  /// indexed, where `first` is at most the cursor before the call.
+  /// `storage` is caller-owned and must hold exactly the window's earlier
+  /// sets [first, cursor) — which it does when every read of the window
+  /// went through this call with the same storage. The default fills it:
+  /// Fetch appends the new sets, the collection is indexed and the view
+  /// is its one slice. A source that already holds the window indexed
+  /// (the serving cache) returns slices of its own chunks and leaves
+  /// `storage` untouched. The accounting is Fetch's for the new sets. The
+  /// view is valid until `storage` changes or the source dies.
+  virtual SampleBatch FetchView(uint64_t first, uint64_t count,
+                                RRCollection* storage, RRView* view);
 };
 
 /// The standalone implementation: a thin adapter over a borrowed

@@ -60,21 +60,42 @@ void RRCollection::AppendPacked(std::span<const NodeId> nodes,
 }
 
 void RRCollection::BuildIndex() {
-  index_offsets_.assign(num_nodes_ + 1, 0);
-  index_sets_.resize(nodes_.size());
+  // Counting sort by node. `cursor` is the one dense scratch array: first
+  // each node's set count, then its write position in index_sets_.
+  std::vector<EdgeIndex> cursor(num_nodes_, 0);
+  for (NodeId v : nodes_) ++cursor[v];
+  size_t distinct = 0;
+  for (NodeId v = 0; v < num_nodes_; ++v) distinct += cursor[v] != 0;
 
-  for (NodeId v : nodes_) ++index_offsets_[v + 1];
+  index_nodes_ = std::vector<NodeId>(distinct);
+  index_offsets_ = std::vector<EdgeIndex>(distinct + 1);
+  index_sets_ = std::vector<RRSetId>(nodes_.size());
+  EdgeIndex total = 0;
+  size_t i = 0;
   for (NodeId v = 0; v < num_nodes_; ++v) {
-    index_offsets_[v + 1] += index_offsets_[v];
+    if (cursor[v] == 0) continue;
+    index_nodes_[i] = v;
+    index_offsets_[i++] = total;
+    const EdgeIndex count = cursor[v];
+    cursor[v] = total;
+    total += count;
   }
-  std::vector<EdgeIndex> fill(index_offsets_.begin(), index_offsets_.end() - 1);
+  index_offsets_[distinct] = total;
+  // Filling in set order leaves every node's list ascending.
   const size_t sets = num_sets();
   for (size_t id = 0; id < sets; ++id) {
     for (NodeId v : Set(static_cast<RRSetId>(id))) {
-      index_sets_[fill[v]++] = static_cast<RRSetId>(id);
+      index_sets_[cursor[v]++] = static_cast<RRSetId>(id);
     }
   }
   index_built_ = true;
+}
+
+std::span<const RRSetId> RRCollection::SetsContaining(NodeId v) const {
+  const auto it =
+      std::lower_bound(index_nodes_.begin(), index_nodes_.end(), v);
+  if (it == index_nodes_.end() || *it != v) return {};
+  return Postings(static_cast<size_t>(it - index_nodes_.begin()));
 }
 
 double RRCollection::CoveredFraction(std::span<const NodeId> seeds) const {
@@ -98,6 +119,7 @@ size_t RRCollection::MemoryBytes() const {
   return offsets_.capacity() * sizeof(EdgeIndex) +
          nodes_.capacity() * sizeof(NodeId) +
          widths_.capacity() * sizeof(uint64_t) +
+         index_nodes_.capacity() * sizeof(NodeId) +
          index_offsets_.capacity() * sizeof(EdgeIndex) +
          index_sets_.capacity() * sizeof(RRSetId);
 }
@@ -106,12 +128,14 @@ size_t RRCollection::DataBytes() const {
   return offsets_.size() * sizeof(EdgeIndex) +
          nodes_.size() * sizeof(NodeId) +
          widths_.size() * sizeof(uint64_t) +
+         index_nodes_.size() * sizeof(NodeId) +
          index_offsets_.size() * sizeof(EdgeIndex) +
          index_sets_.size() * sizeof(RRSetId);
 }
 
 void RRCollection::DropIndex() {
   index_built_ = false;
+  index_nodes_.clear();
   index_offsets_.clear();
   index_sets_.clear();
 }
@@ -125,8 +149,18 @@ void RRCollection::TruncateTo(size_t num_sets) {
   nodes_.resize(offsets_[num_sets]);
   widths_.resize(num_sets);
   index_built_ = false;
+  index_nodes_.clear();
   index_offsets_.clear();
   index_sets_.clear();
+}
+
+void RRCollection::ShrinkToFit() {
+  offsets_.shrink_to_fit();
+  nodes_.shrink_to_fit();
+  widths_.shrink_to_fit();
+  index_nodes_.shrink_to_fit();
+  index_offsets_.shrink_to_fit();
+  index_sets_.shrink_to_fit();
 }
 
 void RRCollection::Clear() {
@@ -135,6 +169,7 @@ void RRCollection::Clear() {
   widths_.clear();
   total_width_ = 0;
   index_built_ = false;
+  index_nodes_.clear();
   index_offsets_.clear();
   index_sets_.clear();
 }

@@ -16,10 +16,16 @@ namespace timpp {
 ///
 /// Sets are stored back-to-back in one node array with an offset array
 /// (CSR layout). Every append path grows the arrays geometrically, so a
-/// collection filled batch by batch is copied O(1) times per set. After all sets are added, BuildIndex() materializes the
+/// collection filled batch by batch is copied O(1) times per set. After
+/// all sets are added, BuildIndex() materializes the postings — the
 /// inverted node -> set-ids index used by coverage computations. Adding
 /// after BuildIndex() invalidates the index (checked in debug builds via
 /// index_built()).
+///
+/// An indexed collection is also the unit the rest of the RR layer shares:
+/// a chunk of sets plus its own postings. SharedRRCache publishes its
+/// grows as indexed collections, and an RRView (rrset/rr_view.h) windows
+/// any ordered run of them for the greedy cover without copying.
 class RRCollection {
  public:
   explicit RRCollection(NodeId num_nodes) : num_nodes_(num_nodes) {
@@ -78,7 +84,10 @@ class RRCollection {
   /// Sum of widths over all sets.
   uint64_t TotalWidth() const { return total_width_; }
 
-  /// Builds (or rebuilds) the inverted index. O(total_nodes).
+  /// Builds (or rebuilds) the postings: for each node that occurs in some
+  /// set, the ids of the sets containing it in ascending order. Nodes in
+  /// no set take no space, so a small collection over a large graph has a
+  /// small index. O(num_graph_nodes + total_nodes); exact-size arrays.
   void BuildIndex();
   bool index_built() const { return index_built_; }
 
@@ -89,15 +98,21 @@ class RRCollection {
   /// rebuild estimate) and latch the budget spuriously.
   void DropIndex();
 
-  /// Ids of the sets containing node `v`. Requires BuildIndex().
-  std::span<const RRSetId> SetsContaining(NodeId v) const {
-    return {index_sets_.data() + index_offsets_[v],
-            index_sets_.data() + index_offsets_[v + 1]};
-  }
+  /// Ids of the sets containing node `v`, ascending. Requires
+  /// BuildIndex(). O(log of the indexed node count).
+  std::span<const RRSetId> SetsContaining(NodeId v) const;
 
   /// Number of sets containing `v` (the initial greedy coverage count).
-  uint64_t CoverageCount(NodeId v) const {
-    return index_offsets_[v + 1] - index_offsets_[v];
+  uint64_t CoverageCount(NodeId v) const { return SetsContaining(v).size(); }
+
+  /// The postings as a sparse CSR, for scans over every indexed node:
+  /// entry i is node IndexedNode(i) (ascending in i) with its set ids
+  /// Postings(i). Requires BuildIndex().
+  size_t num_indexed_nodes() const { return index_nodes_.size(); }
+  NodeId IndexedNode(size_t i) const { return index_nodes_[i]; }
+  std::span<const RRSetId> Postings(size_t i) const {
+    return {index_sets_.data() + index_offsets_[i],
+            index_sets_.data() + index_offsets_[i + 1]};
   }
 
   /// Fraction of sets that contain at least one node of `seeds` — the
@@ -137,6 +152,10 @@ class RRCollection {
   /// MemoryBytes does not).
   void TruncateTo(size_t num_sets);
 
+  /// Releases growth slack: every array's capacity drops to its size, so
+  /// MemoryBytes() == DataBytes(). For collections that stop growing.
+  void ShrinkToFit();
+
   /// Releases everything (budget excepted).
   void Clear();
 
@@ -149,8 +168,9 @@ class RRCollection {
   uint64_t total_width_ = 0;
 
   bool index_built_ = false;
-  std::vector<EdgeIndex> index_offsets_;  // per-node start into index_sets_
-  std::vector<RRSetId> index_sets_;
+  std::vector<NodeId> index_nodes_;       // nodes in some set, ascending
+  std::vector<EdgeIndex> index_offsets_;  // per index_nodes_ entry, + end
+  std::vector<RRSetId> index_sets_;       // set ids per node, ascending
 };
 
 }  // namespace timpp

@@ -1,6 +1,5 @@
 #include "serving/graph_context.h"
 
-#include <algorithm>
 #include <utility>
 
 namespace timpp {
@@ -18,10 +17,8 @@ std::shared_ptr<SharedRRCache> GraphContext::AcquireStream(
     config.custom_model = key.custom_model;
     config.max_hops = key.max_hops;
     config.sampler_mode = key.sampler_mode;
-    config.num_threads = std::max(1u, execution_.num_threads);
-    config.pin_threads = execution_.pin_threads;
     config.seed = key.seed;
-    config.backend = execution_.sample_backend;
+    ApplyExecution(execution_, &config);
     std::shared_ptr<RRSpillStore> spill;
     if (!execution_.spill_dir.empty()) {
       // The store persists across cache generations under this key: the

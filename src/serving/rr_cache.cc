@@ -1,6 +1,7 @@
 #include "serving/rr_cache.h"
 
 #include <algorithm>
+#include <cassert>
 #include <utility>
 
 namespace timpp {
@@ -62,6 +63,14 @@ void SharedRRCache::EnsurePrefix(uint64_t count) {
       added = batch.sets_added;
     }
     if (added == 0) return;  // nothing to publish
+    // The chunk is final: return its growth slack, then give it its own
+    // postings, so every request that windows it greedy-covers in place
+    // instead of copying and re-indexing it. Done here, under grow_mu_
+    // and before the publishing stores, so readers never see a chunk
+    // without its index.
+    chunk->sets.ShrinkToFit();
+    chunk->edges.shrink_to_fit();
+    chunk->sets.BuildIndex();
 
     // Publish: slot write first, then the counters in release order. A
     // reader that acquires the new committed_ value is guaranteed to see
@@ -123,9 +132,21 @@ const SharedRRCache::Chunk* SharedRRCache::FindChunk(uint64_t index) const {
   return dir->slots[lo];
 }
 
-SampleBatch SharedRRCache::Read(uint64_t first, uint64_t count,
-                                RRCollection* out,
-                                std::vector<uint64_t>* per_set_edges) {
+template <typename Fn>
+void SharedRRCache::ForEachChunkRange(uint64_t first, uint64_t end,
+                                      Fn&& fn) const {
+  for (uint64_t i = first; i < end;) {
+    const Chunk* chunk = FindChunk(i);
+    const size_t lo = static_cast<size_t>(i - chunk->first);
+    const size_t hi = static_cast<size_t>(
+        std::min<uint64_t>(chunk->sets.num_sets(), end - chunk->first));
+    fn(*chunk, lo, hi);
+    i = chunk->first + hi;
+  }
+}
+
+template <typename Fn>
+SampleBatch SharedRRCache::Serve(uint64_t first, uint64_t count, Fn&& fn) {
   SampleBatch batch;
   const uint64_t cached_before = cached_sets();
   if (first + count > cached_before) EnsurePrefix(first + count);
@@ -136,24 +157,17 @@ SampleBatch SharedRRCache::Read(uint64_t first, uint64_t count,
   if (first + count > avail) {
     count = avail > first ? avail - first : 0;
   }
-  const uint64_t end = first + count;
-  uint64_t nodes_appended = 0;
-  for (uint64_t i = first; i < end;) {
-    const Chunk* chunk = FindChunk(i);
-    const uint64_t local_first = i - chunk->first;
-    const uint64_t local_end =
-        std::min<uint64_t>(chunk->sets.num_sets(), end - chunk->first);
-    out->AppendRange(chunk->sets, local_first, local_end - local_first);
-    for (uint64_t j = local_first; j < local_end; ++j) {
-      batch.edges_examined += chunk->edges[j];
-      if (per_set_edges != nullptr) per_set_edges->push_back(chunk->edges[j]);
-    }
-    nodes_appended +=
-        chunk->sets.Offset(local_end) - chunk->sets.Offset(local_first);
-    i = chunk->first + local_end;
-  }
+  uint64_t nodes = 0;
+  ForEachChunkRange(first, first + count,
+                    [&](const Chunk& chunk, size_t lo, size_t hi) {
+                      for (size_t j = lo; j < hi; ++j) {
+                        batch.edges_examined += chunk.edges[j];
+                      }
+                      nodes += chunk.sets.Offset(hi) - chunk.sets.Offset(lo);
+                      fn(chunk, lo, hi);
+                    });
   batch.sets_added = count;
-  batch.traversal_cost = batch.edges_examined + nodes_appended;
+  batch.traversal_cost = batch.edges_examined + nodes;
   batch.sets_reused =
       first >= cached_before
           ? 0
@@ -161,6 +175,33 @@ SampleBatch SharedRRCache::Read(uint64_t first, uint64_t count,
   total_sets_served_.fetch_add(batch.sets_added, std::memory_order_relaxed);
   total_sets_reused_.fetch_add(batch.sets_reused, std::memory_order_relaxed);
   return batch;
+}
+
+SampleBatch SharedRRCache::Read(uint64_t first, uint64_t count,
+                                RRCollection* out,
+                                std::vector<uint64_t>* per_set_edges) {
+  return Serve(first, count, [&](const Chunk& chunk, size_t lo, size_t hi) {
+    out->AppendRange(chunk.sets, lo, hi - lo);
+    if (per_set_edges != nullptr) {
+      per_set_edges->insert(per_set_edges->end(), chunk.edges.begin() + lo,
+                            chunk.edges.begin() + hi);
+    }
+  });
+}
+
+SampleBatch SharedRRCache::ReadView(uint64_t first, uint64_t count,
+                                    RRView* view) {
+  return Serve(first, count, [&](const Chunk& chunk, size_t lo, size_t hi) {
+    view->Append(chunk.sets, lo, hi);
+  });
+}
+
+void SharedRRCache::ViewRange(uint64_t first, uint64_t end,
+                              RRView* view) const {
+  end = std::min(end, cached_sets());
+  ForEachChunkRange(first, end, [&](const Chunk& chunk, size_t lo, size_t hi) {
+    view->Append(chunk.sets, lo, hi);
+  });
 }
 
 SampleBatch SharedRRCache::ReadUntilCost(uint64_t first, double cost_threshold,
@@ -218,24 +259,33 @@ size_t SharedRRCache::MemoryBytes() const {
   return total;
 }
 
-SampleBatch CachedSampleSource::Fetch(RRCollection* out, uint64_t count,
-                                      std::vector<uint64_t>* per_set_edges) {
-  SampleBatch batch = cache_->Read(cursor_, count, out, per_set_edges);
+SampleBatch CachedSampleSource::Advance(const SampleBatch& batch) {
   cursor_ += batch.sets_added;
   sets_reused_ += batch.sets_reused;
   sets_sampled_ += batch.sets_added - batch.sets_reused;
   return batch;
 }
 
+SampleBatch CachedSampleSource::Fetch(RRCollection* out, uint64_t count,
+                                      std::vector<uint64_t>* per_set_edges) {
+  return Advance(cache_->Read(cursor_, count, out, per_set_edges));
+}
+
 SampleBatch CachedSampleSource::FetchUntilCost(RRCollection* out,
                                                double cost_threshold,
                                                uint64_t max_sets) {
-  SampleBatch batch =
-      cache_->ReadUntilCost(cursor_, cost_threshold, max_sets, out);
-  cursor_ += batch.sets_added;
-  sets_reused_ += batch.sets_reused;
-  sets_sampled_ += batch.sets_added - batch.sets_reused;
-  return batch;
+  return Advance(
+      cache_->ReadUntilCost(cursor_, cost_threshold, max_sets, out));
+}
+
+SampleBatch CachedSampleSource::FetchView(uint64_t first, uint64_t count,
+                                          RRCollection* /*storage*/,
+                                          RRView* view) {
+  *view = RRView(graph().num_nodes());
+  // The window's earlier sets were accounted when they were read.
+  cache_->ViewRange(first, cursor_, view);
+  assert(view->num_sets() == cursor_ - first);
+  return Advance(cache_->ReadView(cursor_, count, view));
 }
 
 }  // namespace timpp

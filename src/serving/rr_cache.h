@@ -33,6 +33,16 @@
 //     position-determined, so WHICH request grows the stream never
 //     affects the bytes — only who pays the sampling cost first.
 //
+// Every chunk is published with its own postings (a node -> local set id
+// index, rrset/rr_collection.h) and without growth slack. A request's
+// unbudgeted greedy therefore runs over an RRView of the chunks it needs —
+// ReadView / CachedSampleSource::FetchView — with the window's ends cut
+// mid-chunk where θ falls: no per-request copy of the sets and no
+// per-request index build. The postings are built once per chunk, by the
+// writer, where a copying reader would have re-indexed the whole window
+// on every request. Read still copies, for phases that keep private
+// collections (KPT estimation, refinement, budgeted selection).
+//
 // Per-set edge counts are stored alongside the sets so replayed ranges
 // report the same accounting (edges_examined, traversal_cost) as sampling
 // them fresh — request stats stay bit-comparable to standalone runs.
@@ -52,6 +62,7 @@
 #include "graph/graph.h"
 #include "rrset/rr_collection.h"
 #include "rrset/rr_spill.h"
+#include "rrset/rr_view.h"
 #include "util/status.h"
 
 namespace timpp {
@@ -101,6 +112,16 @@ class SharedRRCache {
   SampleBatch Read(uint64_t first, uint64_t count, RRCollection* out,
                    std::vector<uint64_t>* per_set_edges = nullptr);
 
+  /// Read without the copy: appends to `*view` the slices of the published
+  /// chunks holding the stream's sets [first, first + count), growing the
+  /// cache as needed. Accounting (and the lifetime counters) exactly as
+  /// Read's. The slices stay valid as long as the cache.
+  SampleBatch ReadView(uint64_t first, uint64_t count, RRView* view);
+
+  /// Appends the slices holding the published sets [first, end) to
+  /// `*view`, clamped to the published prefix. No growth, no accounting.
+  void ViewRange(uint64_t first, uint64_t end, RRView* view) const;
+
   /// Cost-threshold read (Borgs et al.'s stopping rule, bit-equal to
   /// SamplingEngine::SampleUntilCost run from stream position `first`):
   /// appends sets from index `first` while the running traversal cost is
@@ -131,16 +152,18 @@ class SharedRRCache {
     return total_sets_spill_loaded_.load(std::memory_order_relaxed);
   }
 
-  /// Heap bytes of the published chunks plus the per-set edge counts and
-  /// the chunk directory (allocator capacities included) — what a context
-  /// reports as the price of reuse. Concurrent-safe; a grow racing the
-  /// walk is counted from the next call on.
+  /// Heap bytes of the published chunks (sets and postings) plus the
+  /// per-set edge counts and the chunk directory — what a context reports
+  /// as the price of reuse. Chunks are trimmed at publish, so this is the
+  /// exact size of their data. Concurrent-safe; a grow racing the walk is
+  /// counted from the next call on.
   size_t MemoryBytes() const;
 
  private:
   /// One immutable grow: sets [first, first + sets.num_sets()) of the
-  /// stream plus their per-set edge counts. Fully written before its
-  /// directory slot is published; never touched again until destruction.
+  /// stream, indexed, plus their per-set edge counts. Fully written and
+  /// indexed before its directory slot is published; never touched again
+  /// until destruction.
   struct Chunk {
     explicit Chunk(NodeId num_nodes) : sets(num_nodes) {}
     uint64_t first = 0;
@@ -161,6 +184,16 @@ class SharedRRCache {
   /// The chunk holding stream index `index`, which must be below the
   /// published prefix observed by the caller.
   const Chunk* FindChunk(uint64_t index) const;
+
+  /// Calls fn(chunk, lo, hi) for each chunk overlapping the published
+  /// stream range [first, end), with [lo, hi) the chunk-local part.
+  template <typename Fn>
+  void ForEachChunkRange(uint64_t first, uint64_t end, Fn&& fn) const;
+
+  /// Read/ReadView's shared body: grows to cover [first, first + count),
+  /// hands each chunk-local part to fn and returns the accounting.
+  template <typename Fn>
+  SampleBatch Serve(uint64_t first, uint64_t count, Fn&& fn);
 
   SamplingEngine engine_;  // batch calls guarded by grow_mu_
   std::shared_ptr<RRSpillStore> spill_;  // optional disk tier (own mutex)
@@ -200,12 +233,18 @@ class CachedSampleSource final : public SampleSource {
                     std::vector<uint64_t>* per_set_edges = nullptr) override;
   SampleBatch FetchUntilCost(RRCollection* out, double cost_threshold,
                              uint64_t max_sets) override;
+  /// Views the cache's own indexed chunks; `storage` is never touched.
+  SampleBatch FetchView(uint64_t first, uint64_t count, RRCollection* storage,
+                        RRView* view) override;
 
   /// Reuse accounting for this request alone.
   uint64_t sets_reused() const { return sets_reused_; }
   uint64_t sets_sampled() const { return sets_sampled_; }
 
  private:
+  /// Moves the cursor past a read and books its reuse.
+  SampleBatch Advance(const SampleBatch& batch);
+
   SharedRRCache* cache_;
   uint64_t cursor_ = 0;
   uint64_t sets_reused_ = 0;

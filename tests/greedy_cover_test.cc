@@ -3,10 +3,15 @@
 // (1-1/e) quality bound against the exhaustive optimum.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "coverage/greedy_cover.h"
 #include "rrset/rr_collection.h"
+#include "rrset/rr_view.h"
 #include "util/rng.h"
 
 namespace timpp {
@@ -179,6 +184,164 @@ TEST_P(GreedyCoverPropertyTest, GreedyBeatsOneMinusOneOverEOfOptimum) {
   EXPECT_GE(static_cast<double>(greedy.covered_sets),
             (1.0 - 1.0 / std::exp(1.0)) * static_cast<double>(opt) - 1e-9)
       << "greedy=" << greedy.covered_sets << " opt=" << opt;
+}
+
+// ------------------------------------------------------ greedy over views
+
+// Random sets over `num_nodes` nodes, split into indexed chunks of random
+// sizes (some empty) — the shape of a shared cache's published grows.
+struct Chunked {
+  std::vector<std::vector<NodeId>> sets;
+  std::vector<RRCollection> chunks;
+  std::vector<size_t> chunk_first;  // global index of each chunk's set 0
+};
+
+Chunked MakeChunked(NodeId num_nodes, int num_sets, int max_set_size,
+                    Rng& rng) {
+  Chunked c;
+  for (int i = 0; i < num_sets; ++i) {
+    std::vector<NodeId> s;
+    const int size = 1 + static_cast<int>(rng.NextBounded(max_set_size));
+    for (int j = 0; j < size; ++j) {
+      s.push_back(static_cast<NodeId>(rng.NextBounded(num_nodes)));
+    }
+    c.sets.push_back(s);
+  }
+  size_t next = 0;
+  while (next < c.sets.size()) {
+    const size_t size = std::min<size_t>(c.sets.size() - next,
+                                         rng.NextBounded(num_sets / 3 + 2));
+    RRCollection chunk(num_nodes);
+    for (size_t i = next; i < next + size; ++i) chunk.Add(c.sets[i], i);
+    chunk.BuildIndex();
+    c.chunks.push_back(std::move(chunk));
+    c.chunk_first.push_back(next);
+    next += size;
+  }
+  return c;
+}
+
+// The window [lo, hi) of the global stream as a view over the chunks,
+// cutting the first and last chunk it touches wherever lo and hi fall.
+RRView WindowView(const Chunked& c, NodeId num_nodes, size_t lo, size_t hi) {
+  RRView view(num_nodes);
+  for (size_t i = 0; i < c.chunks.size(); ++i) {
+    const size_t first = c.chunk_first[i];
+    const size_t end = first + c.chunks[i].num_sets();
+    const size_t a = std::clamp(lo, first, end);
+    const size_t b = std::clamp(hi, first, end);
+    view.Append(c.chunks[i], a - first, b - first);
+  }
+  return view;
+}
+
+// The same window as one concatenated, indexed collection.
+RRCollection WindowCopy(const Chunked& c, NodeId num_nodes, size_t lo,
+                        size_t hi) {
+  RRCollection rr(num_nodes);
+  for (size_t i = lo; i < hi; ++i) rr.Add(c.sets[i], i);
+  rr.BuildIndex();
+  return rr;
+}
+
+void ExpectSameCover(const CoverResult& got, const CoverResult& want,
+                     const std::string& what) {
+  EXPECT_EQ(got.seeds, want.seeds) << what;
+  EXPECT_EQ(got.marginal_coverage, want.marginal_coverage) << what;
+  EXPECT_EQ(got.covered_sets, want.covered_sets) << what;
+  EXPECT_EQ(got.covered_fraction, want.covered_fraction) << what;
+}
+
+TEST(GreedyCoverViewTest, RandomWindowsCutMidChunkMatchTheCopy) {
+  Rng rng(2024);
+  for (int trial = 0; trial < 40; ++trial) {
+    const NodeId n = 5 + static_cast<NodeId>(rng.NextBounded(60));
+    const int num_sets = 1 + static_cast<int>(rng.NextBounded(400));
+    const Chunked c = MakeChunked(n, num_sets, 6, rng);
+    size_t lo = rng.NextBounded(num_sets + 1);
+    size_t hi = rng.NextBounded(num_sets + 1);
+    if (lo > hi) std::swap(lo, hi);
+    const int k = 1 + static_cast<int>(rng.NextBounded(12));
+
+    const RRView view = WindowView(c, n, lo, hi);
+    const RRCollection copy = WindowCopy(c, n, lo, hi);
+    ASSERT_EQ(view.num_sets(), copy.num_sets());
+    ASSERT_EQ(view.DataBytes(),
+              RRView(copy).DataBytes());  // same sets, same byte count
+    const std::string what = "trial " + std::to_string(trial) + " [" +
+                             std::to_string(lo) + ", " + std::to_string(hi) +
+                             ") over " + std::to_string(c.chunks.size()) +
+                             " chunks";
+    const CoverResult viewed = GreedyMaxCover(view, k);
+    ExpectSameCover(viewed, GreedyMaxCover(copy, k), what);
+    ExpectSameCover(viewed, HeapGreedyMaxCover(copy, k), what);
+    ExpectSameCover(viewed, NaiveGreedyMaxCover(copy, k), what);
+  }
+}
+
+TEST(GreedyCoverViewTest, EmptySlicesAndEmptyViews) {
+  RRCollection empty(6);
+  empty.BuildIndex();
+  RRCollection a = MakeCollection(6, {{0, 1}, {1, 2}, {3}});
+  RRCollection b = MakeCollection(6, {{3, 4}, {4}, {4, 5}, {1}});
+
+  // Empty chunks and empty ranges between real ones add nothing.
+  RRView view(6);
+  view.Append(empty, 0, 0);
+  view.Append(a, 1, 1);
+  view.Append(a, 1, 3);
+  view.Append(empty, 0, 0);
+  view.Append(b, 2, 2);
+  view.Append(b, 0, 3);
+  view.Append(b, 3, 3);
+  EXPECT_EQ(view.slices().size(), 2u);
+  EXPECT_EQ(view.num_sets(), 5u);
+  const RRCollection copy =
+      MakeCollection(6, {{1, 2}, {3}, {3, 4}, {4}, {4, 5}});
+  ExpectSameCover(GreedyMaxCover(view, 3), HeapGreedyMaxCover(copy, 3),
+                  "empty slices");
+
+  // A view of nothing behaves as an empty collection: k zero-gain picks.
+  RRView nothing(6);
+  nothing.Append(empty, 0, 0);
+  nothing.Append(a, 2, 2);
+  EXPECT_EQ(nothing.num_sets(), 0u);
+  const CoverResult none = GreedyMaxCover(nothing, 2);
+  ExpectSameCover(none, GreedyMaxCover(empty, 2), "empty view");
+  EXPECT_EQ(none.seeds.size(), 2u);
+  EXPECT_EQ(none.covered_sets, 0u);
+  EXPECT_DOUBLE_EQ(none.covered_fraction, 0.0);
+}
+
+TEST(GreedyCoverViewTest, CoarseBucketCapIsInvariantOverViews) {
+  Rng rng(77);
+  for (int trial = 0; trial < 10; ++trial) {
+    const NodeId n = 30;
+    const int num_sets = 300 + static_cast<int>(rng.NextBounded(300));
+    const Chunked c = MakeChunked(n, num_sets, 5, rng);
+    const size_t lo = rng.NextBounded(num_sets / 4);
+    const size_t hi = num_sets - rng.NextBounded(num_sets / 4);
+    const RRView view = WindowView(c, n, lo, hi);
+    const CoverResult heap = HeapGreedyMaxCover(WindowCopy(c, n, lo, hi), 8);
+    for (uint64_t cap : {1u, 2u, 7u}) {
+      ExpectSameCover(GreedyMaxCoverWithBucketCap(view, 8, cap), heap,
+                      "cap " + std::to_string(cap));
+    }
+  }
+}
+
+TEST(GreedyCoverViewTest, KBeyondTheNodesLeftSelectsEveryNode) {
+  Rng rng(5);
+  const NodeId n = 9;
+  const Chunked c = MakeChunked(n, 120, 3, rng);
+  const RRView view = WindowView(c, n, 7, 113);
+  const RRCollection copy = WindowCopy(c, n, 7, 113);
+  const CoverResult viewed = GreedyMaxCover(view, 20);
+  EXPECT_EQ(viewed.seeds.size(), n);
+  EXPECT_EQ(viewed.covered_sets, view.num_sets());
+  ExpectSameCover(viewed, GreedyMaxCover(copy, 20), "k > n");
+  ExpectSameCover(viewed, HeapGreedyMaxCover(copy, 20), "k > n");
+  ExpectSameCover(viewed, NaiveGreedyMaxCover(copy, 20), "k > n");
 }
 
 INSTANTIATE_TEST_SUITE_P(

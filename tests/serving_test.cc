@@ -7,10 +7,12 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "engine/phase_cache.h"
 #include "engine/solver_registry.h"
+#include "rrset/rr_view.h"
 #include "serving/graph_context.h"
 #include "serving/rr_cache.h"
 #include "serving/serving_engine.h"
@@ -392,6 +394,82 @@ TEST(SharedRRCacheTest, ReadsAreByteIdenticalToAFreshEngine) {
     ASSERT_EQ(got.size(), want.size()) << id;
     for (size_t j = 0; j < got.size(); ++j) EXPECT_EQ(got[j], want[j]);
   }
+}
+
+// Copies every set of `view`, in view order, into one collection.
+RRCollection Concatenate(const RRView& view) {
+  RRCollection out(view.num_graph_nodes());
+  for (const RRSlice& slice : view.slices()) {
+    out.AppendRange(*slice.sets, slice.lo, slice.hi - slice.lo);
+  }
+  return out;
+}
+
+void ExpectSameSets(const RRCollection& got, const RRCollection& want) {
+  ASSERT_EQ(got.num_sets(), want.num_sets());
+  for (size_t id = 0; id < got.num_sets(); ++id) {
+    const auto a = got.Set(static_cast<RRSetId>(id));
+    const auto b = want.Set(static_cast<RRSetId>(id));
+    ASSERT_EQ(std::vector<NodeId>(a.begin(), a.end()),
+              std::vector<NodeId>(b.begin(), b.end()))
+        << "set " << id;
+    EXPECT_EQ(got.Width(static_cast<RRSetId>(id)),
+              want.Width(static_cast<RRSetId>(id)));
+  }
+}
+
+TEST(SharedRRCacheTest, ReadViewSlicesConcatenateToRead) {
+  Graph g = MakeTwoCommunities(0.35f);
+  SharedRRCache copying(g, IcSampling(42, 2));
+  SharedRRCache viewing(g, IcSampling(42, 2));
+
+  // The same read sequence on both caches: cold growth, a read inside the
+  // published prefix, and reads straddling it, so windows start and end
+  // mid-chunk.
+  const std::vector<std::pair<uint64_t, uint64_t>> reads = {
+      {0, 300}, {100, 500}, {50, 100}, {550, 200}, {0, 750}, {700, 1}};
+  for (const auto& [first, count] : reads) {
+    RRCollection copied(g.num_nodes());
+    const SampleBatch want = copying.Read(first, count, &copied);
+    RRView view(g.num_nodes());
+    const SampleBatch got = viewing.ReadView(first, count, &view);
+    EXPECT_EQ(got.sets_added, want.sets_added) << first;
+    EXPECT_EQ(got.edges_examined, want.edges_examined) << first;
+    EXPECT_EQ(got.traversal_cost, want.traversal_cost) << first;
+    EXPECT_EQ(got.sets_reused, want.sets_reused) << first;
+    EXPECT_EQ(view.num_sets(), copied.num_sets());
+    EXPECT_EQ(view.DataBytes(), copied.DataBytes());
+    for (const RRSlice& slice : view.slices()) {
+      EXPECT_TRUE(slice.sets->index_built());
+      EXPECT_LT(slice.lo, slice.hi);
+    }
+    ExpectSameSets(Concatenate(view), copied);
+  }
+  EXPECT_EQ(viewing.total_sets_served(), copying.total_sets_served());
+  EXPECT_EQ(viewing.total_sets_reused(), copying.total_sets_reused());
+}
+
+TEST(SharedRRCacheTest, MemoryBytesIsExactDataPlusPostingsPlusDirectory) {
+  Graph g = MakeTwoCommunities(0.35f);
+  SharedRRCache cache(g, IcSampling(7, 2));
+  // Two grows, so two chunks: [0, 300) and [300, 1000).
+  cache.EnsurePrefix(300);
+  cache.EnsurePrefix(1000);
+
+  size_t expected = 0;
+  for (const auto& [first, end] :
+       std::vector<std::pair<uint64_t, uint64_t>>{{0, 300}, {300, 1000}}) {
+    // A chunk's exact bytes: its sets and postings, as an indexed
+    // collection holding the same sets reports them, plus one edge count
+    // per set.
+    RRCollection chunk(g.num_nodes());
+    cache.Read(first, end - first, &chunk);
+    chunk.BuildIndex();
+    expected += chunk.DataBytes() + (end - first) * sizeof(uint64_t);
+  }
+  // The chunk directory starts with 16 pointer slots.
+  expected += 16 * sizeof(void*);
+  EXPECT_EQ(cache.MemoryBytes(), expected);
 }
 
 // ------------------------------------------- cache eviction -------------
