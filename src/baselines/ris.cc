@@ -4,10 +4,11 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "core/node_selector.h"
 #include "core/tim.h"
-#include "coverage/greedy_cover.h"
 #include "coverage/streaming_cover.h"
 #include "engine/sample_source.h"
 #include "engine/sampling_engine.h"
@@ -82,8 +83,12 @@ Status RunRis(const Graph& graph, const RisOptions& options, int k,
   const BackendStats backend_before = source->engine().backend_stats();
 
   const uint64_t first = source->position();
-  RRCollection rr(graph.num_nodes());
-  rr.set_memory_budget(options.memory_budget_bytes);
+  const std::unique_ptr<RRSpillStore> spill_store = MakeSpillStore(
+      options, options.memory_budget_bytes, graph.num_nodes());
+  RRSpillStore* spill = spill_store.get();
+  SelectionWindow window(graph.num_nodes(), options.memory_budget_bytes,
+                         spill);
+  RRCollection& rr = window.rr;
 
   // Keep sampling until the cumulative examination cost (nodes added +
   // edges examined, the units of Borgs et al.'s τ) reaches τ. The set in
@@ -102,18 +107,14 @@ Status RunRis(const Graph& graph, const RisOptions& options, int k,
 
   if (batch.hit_memory_budget) {
     // Budget fired short of τ. θ is implicit in the cost threshold, so
-    // instead of truncating quality (the pre-PR-4 behaviour) treat the
-    // retained collection as a stream-prefix cache: finish the cost rule
-    // without retaining — the per-index RNG contract makes the discarded
-    // sets regenerable exactly — and run the streaming greedy over the
-    // full θ. Seeds come out bit-identical to an unbudgeted run. With a
-    // spill store, every set the cache drops goes to disk on the way past
-    // and selection replays it instead of regenerating.
-    local_stats.hit_memory_budget = true;
-    const std::unique_ptr<RRSpillStore> spill_store = MakeSpillStore(
-        options, options.memory_budget_bytes, graph.num_nodes());
-    RRSpillStore* spill = spill_store.get();
-
+    // instead of truncating quality, treat the retained collection as a
+    // stream-prefix cache: finish the cost rule without retaining — the
+    // per-index RNG contract makes the discarded sets regenerable exactly
+    // — and let the window's latch stream the greedy over the full θ.
+    // Seeds come out bit-identical to an unbudgeted run. With a spill
+    // store, every set the cache drops goes to disk on the way past and
+    // selection replays it instead of regenerating.
+    window.budget_hit = true;
     const uint64_t fetched = rr.num_sets();
     const size_t keep =
         MaxPrefixUnderDataBudget(rr, options.memory_budget_bytes);
@@ -172,26 +173,24 @@ Status RunRis(const Graph& graph, const RisOptions& options, int k,
     local_stats.hit_set_cap = rule.hit_set_cap;
     local_stats.cost_examined = rule.traversal_cost;
     local_stats.rr_sets_generated = rule.sets_admitted;
-    local_stats.rr_sets_retained = rr.num_sets();
-
-    StreamingCoverResult streamed = StreamingGreedyMaxCover(
-        engine, rr, first, rule.sets_admitted, k, spill);
-    TIMPP_RETURN_NOT_OK(engine.status());
-    local_stats.regeneration_passes = streamed.regeneration_passes;
-    local_stats.sets_spill_read = streamed.sets_spill_read;
-    if (spill != nullptr) {
-      local_stats.spill = spill->stats();
-      local_stats.spill_bytes_written = local_stats.spill.bytes_written;
-    }
-    *seeds = std::move(streamed.cover.seeds);
-    local_stats.covered_fraction = streamed.cover.covered_fraction;
   } else {
-    rr.BuildIndex();
-    local_stats.rr_sets_retained = rr.num_sets();
-    CoverResult cover = GreedyMaxCover(rr, k);
-    *seeds = std::move(cover.seeds);
-    local_stats.covered_fraction = cover.covered_fraction;
+    // The cost loop finished under the budget: every admitted set is
+    // resident, so the cover indexes them as an unbudgeted run does.
+    rr.set_memory_budget(0);
   }
+
+  // Algorithm 1's greedy over the θ admitted sets [first, first + θ).
+  NodeSelection selection = SelectNodes(
+      *source, k, first, local_stats.rr_sets_generated, &window);
+  TIMPP_RETURN_NOT_OK(source->engine().status());
+  local_stats.hit_memory_budget = selection.hit_memory_budget;
+  local_stats.rr_sets_retained = selection.rr_sets_retained;
+  local_stats.regeneration_passes = selection.regeneration_passes;
+  local_stats.sets_spill_read = selection.sets_spill_read;
+  local_stats.rr_sets_spilled += selection.rr_sets_spilled;
+  if (spill != nullptr) local_stats.spill = spill->stats();
+  *seeds = std::move(selection.seeds);
+  local_stats.covered_fraction = selection.covered_fraction;
   local_stats.backend = source->engine().backend_stats() - backend_before;
   local_stats.seconds_total = timer.ElapsedSeconds();
   if (stats != nullptr) *stats = local_stats;

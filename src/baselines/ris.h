@@ -68,10 +68,9 @@ struct RisStats {
   uint64_t rr_sets_retained = 0;   // == rr_sets_generated budget-off
   uint64_t regeneration_passes = 0;  // streaming greedy rounds (0 off)
   /// Spill-tier activity (zero without a spill_dir): sets written to
-  /// disk, sets replayed from disk, chunk bytes written.
+  /// disk, and sets replayed from disk.
   uint64_t rr_sets_spilled = 0;
   uint64_t sets_spill_read = 0;
-  uint64_t spill_bytes_written = 0;
   /// Full spill-store counter snapshot (chunks written and loaded, sets
   /// read). Zero without a store.
   RRSpillStats spill;

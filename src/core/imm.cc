@@ -5,75 +5,18 @@
 #include <memory>
 #include <optional>
 
+#include "core/node_selector.h"
 #include "core/parameters.h"
 #include "core/tim.h"
-#include "coverage/greedy_cover.h"
-#include "coverage/streaming_cover.h"
 #include "engine/phase_cache.h"
 #include "engine/sample_source.h"
 #include "engine/sampling_engine.h"
-#include "rrset/rr_collection.h"
 #include "rrset/rr_spill.h"
-#include "rrset/rr_view.h"
 #include "util/alias_table.h"
 #include "util/math.h"
 #include "util/timer.h"
 
 namespace timpp {
-
-namespace {
-
-// Grows `rr` (whose set 0 is stream index `stream_first`) with the next
-// stream sets until it holds `target` sets or its memory budget stops the
-// growth. On a budget stop the collection is cut back to its largest
-// under-budget prefix (the engine's batch-granular stop overshoots) and
-// `*budget_hit` latches true: the cache freezes as a stream prefix and the
-// remaining sets exist only by index — regenerated on demand, unless a
-// spill store is given, in which case the about-to-be-dropped suffix and
-// every later index up to `target` are written to disk exactly once (the
-// suffix here, the never-resident remainder via SpillFillTo) for replay.
-// With a store, `rr_edges` tracks the live collection's per-set edge
-// counts (kept aligned with `rr`) and `*sets_spilled` accumulates.
-void GrowTo(SampleSource& source, uint64_t stream_first, uint64_t target,
-            RRCollection* rr, bool* budget_hit, RRSpillStore* spill,
-            std::vector<uint64_t>* rr_edges, uint64_t* sets_spilled) {
-  if (!*budget_hit && rr->num_sets() < target) {
-    // Appending invalidates any index from the previous iteration's greedy
-    // solve; release it up front so neither the engine's in-flight budget
-    // checks nor the cap test below charge those stale bytes.
-    rr->DropIndex();
-    source.Fetch(rr, target - rr->num_sets(),
-                 spill != nullptr ? rr_edges : nullptr);
-    // The engine's budget check is batch-granular (and never fires inside
-    // a sub-batch request), so test the cap directly and cut back to the
-    // largest under-budget prefix; the dropped sets remain reachable by
-    // index regeneration (or disk replay once spilled).
-    if (rr->memory_budget() != 0 && rr->DataBytes() > rr->memory_budget()) {
-      const size_t keep = MaxPrefixUnderDataBudget(*rr, rr->memory_budget());
-      if (spill != nullptr && rr->num_sets() > keep &&
-          spill
-              ->SpillRange(*rr, *rr_edges, keep, rr->num_sets() - keep,
-                           stream_first + keep)
-              .ok()) {
-        *sets_spilled += rr->num_sets() - keep;
-      }
-      rr->TruncateTo(keep);
-      if (spill != nullptr && rr_edges->size() > keep) rr_edges->resize(keep);
-      *budget_hit = true;
-    }
-  }
-  if (*budget_hit && spill != nullptr) {
-    // The cache is frozen; put the rest of the requested range on disk in
-    // transient batches so greedy rounds replay it instead of traversing
-    // the graph again. (No-op for ranges already spilled by an earlier,
-    // smaller target.)
-    const SpillFillResult fill =
-        SpillFillTo(source, *spill, stream_first + target);
-    *sets_spilled += fill.sets_spilled;
-  }
-}
-
-}  // namespace
 
 Status RunImm(const Graph& graph, const ImmOptions& options,
               ImmResult* result) {
@@ -170,7 +113,6 @@ Status RunImm(const Graph& graph, const ImmOptions& options,
   const std::unique_ptr<RRSpillStore> spill_store =
       MakeSpillStore(options, budget, graph.num_nodes());
   RRSpillStore* spill = spill_store.get();
-  uint64_t sets_spilled = 0;
 
   // The LB memo only covers the canonical configuration: a stream consumed
   // from index 0 (how every run starts) and the corrected no-reuse
@@ -192,11 +134,17 @@ Status RunImm(const Graph& graph, const ImmOptions& options,
     memo_key.ell_bits = DoubleBits(ell);
   }
 
-  RRCollection sampling_rr(graph.num_nodes());
-  sampling_rr.set_memory_budget(budget);
-  std::vector<uint64_t> sampling_edges;  // per-set edges, spill path only
-  bool sampling_budget_hit = false;
+  // The LB search covers one growing window [stream_start, θ_i); its
+  // sets and budget latch carry from iteration to iteration.
+  SelectionWindow window(graph.num_nodes(), budget, spill);
   uint64_t sampling_target = 0;  // θ_i of the latest iteration
+  // Budget and spill activity sum over every cover of both phases.
+  const auto add_cover_stats = [&stats](const NodeSelection& cover) {
+    if (cover.hit_memory_budget) stats.hit_memory_budget = true;
+    stats.regeneration_passes += cover.regeneration_passes;
+    stats.sets_spill_read += cover.sets_spill_read;
+    stats.rr_sets_spilled += cover.rr_sets_spilled;
+  };
   double lb = 1.0;
   // Hit or compute obligation; same-key concurrent requests wait inside
   // AcquireLb and wake as hits once this one publishes. An error return
@@ -219,46 +167,14 @@ Status RunImm(const Graph& graph, const ImmOptions& options,
       const uint64_t theta_i = static_cast<uint64_t>(
           std::max(1.0, std::ceil(stats.lambda_prime / x_i)));
       sampling_target = theta_i;
-      CoverResult cover;
-      if (budget == 0) {
-        // Greedy over the indexed window [stream_start, θ_i): the source
-        // tops up and re-indexes `sampling_rr`, or views its own chunks.
-        RRView view;
-        source->FetchView(stream_start,
-                          stream_start + theta_i - source->position(),
-                          &sampling_rr, &view);
-        // A dead sample backend (worker process crash) means the window
-        // is short — fail the run.
-        TIMPP_RETURN_NOT_OK(source->engine().status());
-        cover = GreedyMaxCover(view, options.k);
-      } else {
-        GrowTo(*source, stream_start, theta_i, &sampling_rr,
-               &sampling_budget_hit, spill, &sampling_edges, &sets_spilled);
-        // A dead sample backend means the grown prefix is short, not
-        // budget-truncated — fail the run.
-        TIMPP_RETURN_NOT_OK(source->engine().status());
-        // Keep the stream aligned with a budget-off run: the sets the
-        // cache could not retain still occupy indices [num_sets, θ_i) and
-        // are regenerated from them below.
-        source->Seek(stream_start + theta_i);
-        if (!sampling_budget_hit &&
-            IndexedDataBytesFitBudget(sampling_rr, budget)) {
-          sampling_rr.BuildIndex();
-          cover = GreedyMaxCover(sampling_rr, options.k);
-        } else {
-          // Budgeted greedy: retained prefix + per-round regeneration.
-          // Seeds and covered_fraction are bit-identical to the indexed
-          // path, so LB — and with it every downstream θ — matches the
-          // budget-off run.
-          stats.hit_memory_budget = true;
-          StreamingCoverResult streamed = StreamingGreedyMaxCover(
-              source->engine(), sampling_rr, stream_start, theta_i,
-              options.k, spill);
-          stats.regeneration_passes += streamed.regeneration_passes;
-          stats.sets_spill_read += streamed.sets_spill_read;
-          cover = std::move(streamed.cover);
-        }
-      }
+      const NodeSelection cover =
+          SelectNodes(*source, options.k, stream_start, theta_i, &window);
+      // A dead sample backend (worker process crash) means the window is
+      // short — fail the run.
+      TIMPP_RETURN_NOT_OK(source->engine().status());
+      // Budgeted covers are bit-identical to the indexed one, so LB — and
+      // with it every downstream θ — matches the budget-off run.
+      add_cover_stats(cover);
       stats.sampling_iterations = i;
       if (n * cover.covered_fraction >= (1.0 + eps_prime) * x_i) {
         lb = n * cover.covered_fraction / (1.0 + eps_prime);
@@ -292,85 +208,31 @@ Status RunImm(const Graph& graph, const ImmOptions& options,
       std::max(1.0, std::ceil(stats.lambda_star / lb)));
 
   phase_timer.Reset();
-  RRCollection selection_rr(graph.num_nodes());
-  selection_rr.set_memory_budget(budget);
-  std::vector<uint64_t> selection_edges;
-  RRCollection* cache = &selection_rr;
-  std::vector<uint64_t>* cache_edges = &selection_edges;
+  // Original IMM (reuse_samples) keeps the sampling-phase sets and tops
+  // up. (Subtly biased — the stopping rule conditions these samples; kept
+  // for study.) Its selection window is exactly the sample stream from the
+  // run's start, so the sampling window continues as the selection window
+  // — no copy, and the budgeted prefix carries over.
   uint64_t sel_first = stream_start;
-  uint64_t sel_total = stats.theta;
-  bool sel_budget_hit = false;
-  if (options.reuse_samples) {
-    // Original IMM: keep the sampling-phase sets and top up. (Subtly
-    // biased — the stopping rule conditions these samples; kept for
-    // study.) The selection collection is then exactly the sample stream
-    // from the run's start, so the sampling cache continues as the
-    // selection cache — no copy, and the budgeted prefix carries over.
-    cache = &sampling_rr;
-    cache_edges = &sampling_edges;
-    sel_total = std::max(stats.theta, sampling_target);
-    sel_budget_hit = sampling_budget_hit;
-  } else {
-    // Actually release the sampling phase's storage (Clear would keep
-    // vector capacities, leaving ~2x the budget resident while
-    // selection_rr grows toward the cap).
-    sampling_rr = RRCollection(graph.num_nodes());
-    std::vector<uint64_t>().swap(sampling_edges);
+  uint64_t sel_count = std::max(stats.theta, sampling_target);
+  if (!options.reuse_samples) {
+    // A fresh window: assigning one releases the sampling phase's storage
+    // (clearing would keep vector capacities, leaving ~2x the budget
+    // resident while the selection window grows toward the cap).
+    window = SelectionWindow(graph.num_nodes(), budget, spill);
     sel_first = source->position();
+    sel_count = stats.theta;
   }
-  CoverResult cover;
-  if (budget == 0) {
-    // Greedy over the indexed window [sel_first, sel_first + sel_total):
-    // the source fills and indexes `cache` (topping up the sampling sets
-    // under reuse_samples), or views its own chunks.
-    RRView view;
-    source->FetchView(sel_first, sel_first + sel_total - source->position(),
-                      cache, &view);
-    TIMPP_RETURN_NOT_OK(source->engine().status());
-    stats.rr_data_bytes = view.DataBytes();
-    stats.rr_memory_bytes = cache->MemoryBytes();
-    stats.rr_sets_retained = view.num_sets();
-    cover = GreedyMaxCover(view, options.k);
-  } else {
-    // Grow the cache to hold the whole selection range [sel_first,
-    // sel_first + sel_total) — or as much of its prefix as the budget
-    // allows (the growth freezes once the budget latched, keeping the
-    // cache a contiguous stream prefix; with a spill store the rest of the
-    // range goes to disk).
-    GrowTo(*source, sel_first, sel_total, cache, &sel_budget_hit, spill,
-           cache_edges, &sets_spilled);
-    TIMPP_RETURN_NOT_OK(source->engine().status());
-    source->Seek(sel_first + sel_total);
-    // The reuse path may carry the sampling phase's index over unchanged;
-    // drop it so the budget-fit check below prices one index, not two.
-    cache->DropIndex();
-
-    // Pre-index capture: the stat compares across budget settings.
-    stats.rr_data_bytes = cache->DataBytes();
-    if (!sel_budget_hit && IndexedDataBytesFitBudget(*cache, budget)) {
-      cache->BuildIndex();
-      stats.rr_memory_bytes = cache->MemoryBytes();
-      cover = GreedyMaxCover(*cache, options.k);
-    } else {
-      stats.hit_memory_budget = true;
-      stats.rr_memory_bytes = cache->MemoryBytes();
-      StreamingCoverResult streamed =
-          StreamingGreedyMaxCover(source->engine(), *cache, sel_first,
-                                  sel_total, options.k, spill);
-      stats.regeneration_passes += streamed.regeneration_passes;
-      stats.sets_spill_read += streamed.sets_spill_read;
-      cover = std::move(streamed.cover);
-    }
-    stats.rr_sets_retained = cache->num_sets();
-  }
-  // The streaming branch regenerates through the engine; a backend that
+  NodeSelection cover =
+      SelectNodes(*source, options.k, sel_first, sel_count, &window);
+  // The streaming cover regenerates through the engine; a backend that
   // died there must fail the run, not return partial-coverage seeds.
   TIMPP_RETURN_NOT_OK(source->engine().status());
-  stats.rr_sets_spilled = sets_spilled;
-  if (spill != nullptr) {
-    stats.spill = spill->stats();
-    stats.spill_bytes_written = stats.spill.bytes_written;
-  }
+  add_cover_stats(cover);
+  stats.rr_data_bytes = cover.rr_data_bytes;
+  stats.rr_memory_bytes = cover.rr_memory_bytes;
+  stats.rr_sets_retained = cover.rr_sets_retained;
+  if (spill != nullptr) stats.spill = spill->stats();
   stats.estimated_spread = n * cover.covered_fraction;
   stats.seconds_selection = phase_timer.ElapsedSeconds();
   stats.backend = source->engine().backend_stats() - backend_before;

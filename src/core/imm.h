@@ -114,11 +114,9 @@ struct ImmStats {
   /// spill store).
   uint64_t regeneration_passes = 0;
   /// Spill-tier activity (zero without a spill_dir): sets written to
-  /// disk, sets replayed from disk across all greedy rounds, and chunk
-  /// bytes written.
+  /// disk, and sets replayed from disk across all greedy rounds.
   uint64_t rr_sets_spilled = 0;
   uint64_t sets_spill_read = 0;
-  uint64_t spill_bytes_written = 0;
   /// Full spill-store counter snapshot (chunks written and loaded, sets
   /// read). Zero without a store.
   RRSpillStats spill;

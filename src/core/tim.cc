@@ -201,10 +201,7 @@ Status TimSolver::Run(const TimOptions& options, const SolveContext& context,
   stats.regeneration_passes = selection.regeneration_passes;
   stats.rr_sets_spilled = selection.rr_sets_spilled;
   stats.sets_spill_read = selection.sets_spill_read;
-  if (spill) {
-    stats.spill = spill->stats();
-    stats.spill_bytes_written = stats.spill.bytes_written;
-  }
+  if (spill) stats.spill = spill->stats();
   stats.edges_examined += selection.edges_examined;
   stats.backend = source->engine().backend_stats() - backend_before;
   stats.seconds_total = total_timer.ElapsedSeconds();

@@ -108,11 +108,9 @@ struct TimStats {
   /// and 0 under a healthy spill store — disk replay displaces them).
   uint64_t regeneration_passes = 0;
   /// Spill-tier activity (all zero without a spill_dir): RR sets written
-  /// to disk, sets replayed from disk during greedy rounds, and chunk
-  /// bytes written.
+  /// to disk, and sets replayed from disk during greedy rounds.
   uint64_t rr_sets_spilled = 0;
   uint64_t sets_spill_read = 0;
-  uint64_t spill_bytes_written = 0;
   /// Full spill-store counter snapshot (chunks written and loaded, sets
   /// read). Zero without a store.
   RRSpillStats spill;

@@ -13,8 +13,11 @@
 // node id — is identical to GreedyMaxCover's, and recomputing counts from
 // scratch each round equals decrementing them incrementally, so the
 // returned CoverResult is bit-identical to the indexed path on the same
-// θ sets. Budgeted TIM/IMM therefore return the same seeds as budget-off
-// runs, only slower.
+// θ sets. TIM, IMM and RIS all reach this cover through one call,
+// SelectNodes (core/node_selector.h), which also owns the budget cut,
+// the spill fill and the choice between the two greedies; budgeted runs
+// of all three therefore return the same seeds as budget-off runs, only
+// slower.
 #ifndef TIMPP_COVERAGE_STREAMING_COVER_H_
 #define TIMPP_COVERAGE_STREAMING_COVER_H_
 

@@ -13,17 +13,6 @@ RRSetId RRCollection::Add(std::span<const NodeId> nodes, uint64_t width) {
   return static_cast<RRSetId>(num_sets() - 1);
 }
 
-void RRCollection::AppendShard(const RRCollection& shard) {
-  const size_t base = nodes_.size();
-  nodes_.insert(nodes_.end(), shard.nodes_.begin(), shard.nodes_.end());
-  for (size_t i = 1; i < shard.offsets_.size(); ++i) {
-    offsets_.push_back(base + shard.offsets_[i]);
-  }
-  widths_.insert(widths_.end(), shard.widths_.begin(), shard.widths_.end());
-  total_width_ += shard.total_width_;
-  index_built_ = false;
-}
-
 void RRCollection::AppendRange(const RRCollection& src, size_t first,
                                size_t count) {
   first = std::min(first, src.num_sets());

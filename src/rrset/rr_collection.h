@@ -35,19 +35,12 @@ class RRCollection {
   /// Appends one RR set; returns its id. `width` is w(R) from Equation 1.
   RRSetId Add(std::span<const NodeId> nodes, uint64_t width);
 
-  /// Bulk-appends every set of `shard` in shard order — the merge half of
-  /// the sampling engine's shard-append protocol: worker threads fill
-  /// private shard collections concurrently, then the engine appends the
-  /// shards in worker order, which (with index-seeded sampling) yields a
-  /// collection identical to a sequential run. One memmove per array
-  /// instead of per-set Add calls. Invalidates the index.
-  void AppendShard(const RRCollection& shard);
-
   /// Bulk-appends sets [first, first + count) of `src` in order — the
-  /// range-copy primitive behind the engine's chunk-ordered shard merge
-  /// and the serving layer's shared-prefix reuse (a request's slice of a
-  /// shared collection is byte-identical to sampling it fresh). Ranges
-  /// past src.num_sets() are clamped. Invalidates the index.
+  /// engine's merge copies each worker's sampled chunks in index order
+  /// with it, the spill store its replayed chunk ranges, and the serving
+  /// cache a request's slice of a shared chunk (byte-identical to sampling
+  /// it fresh). Ranges past src.num_sets() are clamped. One insert per
+  /// array instead of per-set Add calls. Invalidates the index.
   void AppendRange(const RRCollection& src, size_t first, size_t count);
 
   /// Bulk-appends sets stored back to back: set i is the next `sizes[i]`
@@ -128,7 +121,7 @@ class RRCollection {
   /// the basis of OverMemoryBudget: unlike MemoryBytes it is a pure
   /// function of the stored sets, never of the allocation pattern, so
   /// budget stops land at the same set regardless of how the collection
-  /// was filled (per-set Add vs bulk AppendShard; sequential vs parallel
+  /// was filled (per-set Add vs bulk AppendRange; sequential vs parallel
   /// engine paths).
   size_t DataBytes() const;
 

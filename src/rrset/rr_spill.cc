@@ -250,7 +250,7 @@ Status RRSpillStore::ReadRange(uint64_t first, uint64_t count,
     stats_.sets_read += stop - pos;
     pos = stop;
   }
-  out->AppendShard(staged);
+  out->AppendRange(staged, 0, staged.num_sets());
   if (edges != nullptr) {
     edges->insert(edges->end(), staged_edges.begin(), staged_edges.end());
   }

@@ -303,14 +303,14 @@ TEST(RRCollectionTest, AppendRangeMatchesPerSetAdd) {
   EXPECT_EQ(clamped.num_sets(), 5u);
 }
 
-TEST(RRCollectionTest, AppendShardMatchesPerSetAdd) {
+TEST(RRCollectionTest, AppendWholeRangeMatchesPerSetAdd) {
   Graph g = MakeTwoCommunities(0.35f);
   RRCollection shard(g.num_nodes());
   SamplingEngine engine(g, IcSampling(17, 1));
   engine.SampleInto(&shard, 50);
 
   RRCollection bulk(g.num_nodes());
-  bulk.AppendShard(shard);
+  bulk.AppendRange(shard, 0, shard.num_sets());
   RRCollection manual(g.num_nodes());
   for (size_t id = 0; id < shard.num_sets(); ++id) {
     manual.Add(shard.Set(static_cast<RRSetId>(id)),
@@ -340,7 +340,7 @@ TEST(RRCollectionTest, AppendPackedMatchesPerSetAdd) {
   packed.AppendPacked(nodes, sizes, widths);
   RRCollection manual(g.num_nodes());
   manual.Add(source.Set(0), source.Width(0));
-  manual.AppendShard(source);
+  manual.AppendRange(source, 0, source.num_sets());
   ExpectSameCollections(manual, packed);
 }
 

@@ -6,6 +6,8 @@
 // the cap.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <string>
 #include <vector>
 
 #include "baselines/ris.h"
@@ -387,6 +389,26 @@ TEST(StreamingCoverTest, ImmBudgetedMatchesUnbudgeted) {
     EXPECT_TRUE(budgeted.stats.hit_memory_budget);
     EXPECT_GE(budgeted.stats.regeneration_passes, 1u);
     EXPECT_LE(budgeted.stats.rr_data_bytes, options.memory_budget_bytes);
+
+    // The same budget with a spill store: the sets the cap keeps off the
+    // heap go to disk once and are replayed, never regenerated — under
+    // reuse_samples too, where the sampling window (its spilled range and
+    // budget latch included) carries over into the selection phase.
+    const std::string spill_dir = ::testing::TempDir() +
+                                  "/timpp_imm_spill_" + std::to_string(reuse);
+    options.spill_dir = spill_dir;
+    ImmResult spilled;
+    ASSERT_TRUE(RunImm(g, options, &spilled).ok());
+    options.spill_dir.clear();
+    std::error_code ec;
+    std::filesystem::remove_all(spill_dir, ec);
+    EXPECT_EQ(spilled.seeds, unbudgeted.seeds) << "reuse " << reuse;
+    EXPECT_DOUBLE_EQ(spilled.stats.lb, unbudgeted.stats.lb);
+    EXPECT_EQ(spilled.stats.theta, unbudgeted.stats.theta);
+    EXPECT_DOUBLE_EQ(spilled.stats.estimated_spread,
+                     unbudgeted.stats.estimated_spread);
+    EXPECT_EQ(spilled.stats.regeneration_passes, 0u) << "reuse " << reuse;
+    EXPECT_GT(spilled.stats.rr_sets_spilled, 0u) << "reuse " << reuse;
 
     // A budget with ample headroom must never engage (in particular, the
     // progressive iterations must not double-charge a stale inverted
